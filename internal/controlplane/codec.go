@@ -929,6 +929,36 @@ func (c *binaryCodec) ReadResponse(resp *wireResponse) error {
 		resp.Digest = readDigest(&r)
 		c.digBytes.Add(float64(r.off - before))
 	}
+	// Sections follow in WriteResponse's order: batch, spans, explains.
+	if flags&respFlagBatch != 0 {
+		n := r.checkCount(int(r.u16()), binEntrySize)
+		entries := c.batch[:0]
+		for i := 0; i < n && r.err == nil; i++ {
+			var e wireBatchEntry
+			e.Rack = r.str()
+			ef := r.u8()
+			e.OK = ef&entFlagOK != 0
+			e.Unchanged = ef&entFlagUnchanged != 0
+			if ef&entFlagError != 0 {
+				e.Error = r.str()
+			}
+			if ef&entFlagSummary != 0 {
+				e.Summary = readSummary(&r)
+			}
+			if ef&entFlagDigest != 0 {
+				before := r.off
+				e.Digest = readDigest(&r)
+				c.digBytes.Add(float64(r.off - before))
+			}
+			if r.err == nil {
+				entries = append(entries, e)
+			}
+		}
+		if r.err == nil {
+			resp.Batch = entries
+			c.batch = entries
+		}
+	}
 	if flags&respFlagSpans != 0 {
 		n := r.checkCount(int(r.u16()), binSpanSize)
 		if n > 0 && r.err == nil {
@@ -972,35 +1002,6 @@ func (c *binaryCodec) ReadResponse(resp *wireResponse) error {
 			if r.err == nil {
 				resp.Explains = append(resp.Explains, e)
 			}
-		}
-	}
-	if flags&respFlagBatch != 0 {
-		n := r.checkCount(int(r.u16()), binEntrySize)
-		entries := c.batch[:0]
-		for i := 0; i < n && r.err == nil; i++ {
-			var e wireBatchEntry
-			e.Rack = r.str()
-			ef := r.u8()
-			e.OK = ef&entFlagOK != 0
-			e.Unchanged = ef&entFlagUnchanged != 0
-			if ef&entFlagError != 0 {
-				e.Error = r.str()
-			}
-			if ef&entFlagSummary != 0 {
-				e.Summary = readSummary(&r)
-			}
-			if ef&entFlagDigest != 0 {
-				before := r.off
-				e.Digest = readDigest(&r)
-				c.digBytes.Add(float64(r.off - before))
-			}
-			if r.err == nil {
-				entries = append(entries, e)
-			}
-		}
-		if r.err == nil {
-			resp.Batch = entries
-			c.batch = entries
 		}
 	}
 	if err := r.finish(); err != nil {

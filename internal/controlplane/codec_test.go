@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,8 +75,21 @@ func codecResponseFixtures() map[string]wireResponse {
 	start := time.Unix(0, 1722000000123456789)
 	bareDig := &fleetobs.StatDigest{Racks: 1, PowerW: 950, RequestW: 1000,
 		CapMinW: 570, HeadroomW: 210, WorstHeadroomW: 210}
+	spans := []flightrec.Span{
+		{TraceID: "t1", SpanID: "s1", Name: "rack.gather", Node: "rack0",
+			Start: start, Duration: 1500 * time.Microsecond},
+		{TraceID: "t1", SpanID: "s2", ParentID: "s1", Name: "rack.apply", Node: "rack0",
+			Start: start.Add(time.Millisecond), Duration: 42, Retries: 3, Error: "late"},
+	}
+	batch := []wireBatchEntry{
+		{Rack: "rack0", OK: true, Summary: &multi, Digest: bareDig},
+		{Rack: "rack1", OK: true, Unchanged: true},
+		{Rack: "rack2", Error: "rack on fire"},
+	}
 	return map[string]wireResponse{
 		"ok":            {OK: true},
+		"batch":         {OK: true, Batch: batch},
+		"batch-traced":  {OK: true, Batch: batch, Spans: spans},
 		"error":         {Error: "rack on fire"},
 		"summary":       {OK: true, Summary: &multi},
 		"summary-empty": {OK: true, Summary: &empty},
@@ -85,12 +99,7 @@ func codecResponseFixtures() map[string]wireResponse {
 		"traced": {
 			OK:      true,
 			Summary: &multi,
-			Spans: []flightrec.Span{
-				{TraceID: "t1", SpanID: "s1", Name: "rack.gather", Node: "rack0",
-					Start: start, Duration: 1500 * time.Microsecond},
-				{TraceID: "t1", SpanID: "s2", ParentID: "s1", Name: "rack.apply", Node: "rack0",
-					Start: start.Add(time.Millisecond), Duration: 42, Retries: 3, Error: "late"},
-			},
+			Spans:   spans,
 			Explains: []core.NodeExplain{
 				{NodeID: "rack0", Priority: 1, Demand: 900, CapMin: 540, Request: 860,
 					Constraint: 1600, Granted: 860, Phase: "fulfill"},
@@ -160,6 +169,16 @@ func responsesEquivalent(a, b wireResponse) bool {
 	if !reflect.DeepEqual(a.Digest, b.Digest) {
 		return false
 	}
+	if len(a.Batch) != len(b.Batch) {
+		return false
+	}
+	for i := range a.Batch {
+		ea, eb := a.Batch[i], b.Batch[i]
+		if ea.Rack != eb.Rack || ea.OK != eb.OK || ea.Error != eb.Error || ea.Unchanged != eb.Unchanged ||
+			!summariesEquivalent(ea.Summary, eb.Summary) || !reflect.DeepEqual(ea.Digest, eb.Digest) {
+			return false
+		}
+	}
 	if len(a.Spans) != len(b.Spans) {
 		return false
 	}
@@ -225,6 +244,62 @@ func TestCodecCrossRoundTrip(t *testing.T) {
 				t.Fatalf("codecs disagree:\njson   %+v\nbinary %+v", decoded[CodecJSON], decoded[CodecBinary])
 			}
 		})
+	}
+}
+
+// TestCodecResponseFlagLattice round-trips a response carrying every
+// subset of the optional sections {batch, spans, explains, digest}
+// through both codecs: encode → decode must give the response back, and
+// re-encoding what was decoded must give the first encoding's bytes. The
+// binary reader once consumed spans and explains ahead of batch entries
+// while the writer emitted them behind, so a traced batch frame — the
+// flight recorder over batched endpoints — never decoded.
+func TestCodecResponseFlagLattice(t *testing.T) {
+	full := codecResponseFixtures()
+	const (
+		hasBatch = 1 << iota
+		hasSpans
+		hasExplains
+		hasDigest
+		subsets
+	)
+	for mask := 0; mask < subsets; mask++ {
+		resp := wireResponse{OK: true}
+		if mask&hasBatch != 0 {
+			resp.Batch = full["batch"].Batch
+		}
+		if mask&hasSpans != 0 {
+			resp.Spans = full["traced"].Spans
+		}
+		if mask&hasExplains != 0 {
+			resp.Explains = full["traced"].Explains
+		}
+		if mask&hasDigest != 0 {
+			resp.Digest = full["digest"].Digest
+		}
+		for _, cn := range []string{CodecJSON, CodecBinary} {
+			t.Run(fmt.Sprintf("%s/batch=%t,spans=%t,explains=%t,digest=%t", cn,
+				mask&hasBatch != 0, mask&hasSpans != 0, mask&hasExplains != 0, mask&hasDigest != 0), func(t *testing.T) {
+				c, buf := codecPair(cn)
+				if err := c.WriteResponse(&resp); err != nil {
+					t.Fatalf("encode: %v", err)
+				}
+				first := append([]byte(nil), buf.Bytes()...)
+				var got wireResponse
+				if err := c.ReadResponse(&got); err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				if !responsesEquivalent(resp, got) {
+					t.Fatalf("round trip drifted:\n in %+v\nout %+v", resp, got)
+				}
+				if err := c.WriteResponse(&got); err != nil {
+					t.Fatalf("re-encode: %v", err)
+				}
+				if !bytes.Equal(first, buf.Bytes()) {
+					t.Fatalf("re-encoding drifted:\n% x\n% x", first, buf.Bytes())
+				}
+			})
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"capmaestro/internal/core"
+	"capmaestro/internal/flightrec"
 	"capmaestro/internal/power"
 )
 
@@ -42,7 +43,7 @@ func monoHierarchy(rackTrees []*core.Node, fanOut, levels int) *core.Node {
 	for level := 1; level <= levels-2; level++ {
 		var next []*core.Node
 		for gi := 0; gi*fanOut < len(nodes); gi++ {
-			chunk := nodes[gi*fanOut:min((gi+1)*fanOut, len(nodes))]
+			chunk := nodes[gi*fanOut : min((gi+1)*fanOut, len(nodes))]
 			next = append(next, core.NewShifting(fmt.Sprintf("l%d-%d", level, gi), 0, chunk...))
 		}
 		nodes = next
@@ -67,8 +68,8 @@ func TestBuildHierarchyShape(t *testing.T) {
 		wantTiers      []int // aggregators per tier, bottom-up
 	}{
 		{levels: 2, fanOut: 3, wantTiers: nil},
-		{levels: 3, fanOut: 3, wantTiers: []int{4}},      // 10 racks / 3
-		{levels: 4, fanOut: 3, wantTiers: []int{4, 2}},   // 4 aggs / 3
+		{levels: 3, fanOut: 3, wantTiers: []int{4}},    // 10 racks / 3
+		{levels: 4, fanOut: 3, wantTiers: []int{4, 2}}, // 4 aggs / 3
 		{levels: 5, fanOut: 3, wantTiers: []int{4, 2, 1}},
 	}
 	for _, tc := range cases {
@@ -352,4 +353,94 @@ func testThreeLevelHierarchyChaos(t *testing.T, codecName string) {
 		drops += p.dropCount()
 	}
 	t.Logf("chaos: %d injected faults, %d dropped frames", injected, drops)
+}
+
+// TestHierarchyFlightRecorderOverBatchedBinary is the regression test for
+// the traced batch frame: with a flight recorder on, every batched RPC to
+// a ServeRacks endpoint comes back carrying batch entries and spans, and
+// while the binary reader took those in the wrong order each such RPC
+// failed, every tier above held its racks and nothing was pushed — with
+// the room's own stats clean. So every tier's stats are checked, the
+// racks must have received their budgets, and the rack-side spans and
+// explain records must have made it into the period record.
+func TestHierarchyFlightRecorderOverBatchedBinary(t *testing.T) {
+	const racks, fanOut = 6, 3
+	for _, levels := range []int{2, 3} {
+		t.Run(fmt.Sprintf("levels=%d", levels), func(t *testing.T) {
+			workers := make([]*RackWorker, racks)
+			clients := make(map[string]RackClient, racks)
+			for g := 0; g*fanOut < racks; g++ {
+				serve := make(map[string]RackClient, fanOut)
+				for r := g * fanOut; r < (g+1)*fanOut; r++ {
+					w, err := NewRackWorker(fmt.Sprintf("hr%02d", r), hierRackTree(r), core.GlobalPriority, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					workers[r] = w
+					serve[w.ID()] = w
+				}
+				srv, err := ServeRacks(serve, "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				c := DialRack(srv.Addr(), 2*time.Second, WithWireCodec(CodecBinary))
+				t.Cleanup(func() { c.Close() })
+				for id := range serve {
+					clients[id] = c.Rack(id)
+				}
+			}
+			rec := flightrec.NewRecorder(4)
+			h, err := BuildHierarchy(clients, HierarchyConfig{
+				Levels: levels, FanOut: fanOut, Policy: core.GlobalPriority, Budget: 5000,
+				Opts: []Option{WithFlightRecorder(rec)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stats, err := h.Room.RunPeriod(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.GatherErrors+stats.ApplyErrors+stats.BudgetsHeld != 0 {
+				t.Errorf("room period degraded: %+v", stats)
+			}
+			for ti, tier := range h.Tiers {
+				for _, agg := range tier {
+					if s := agg.LastStats(); s.GatherErrors+s.ApplyErrors+s.BudgetsHeld != 0 {
+						t.Errorf("tier %d aggregator %s degraded: %+v", ti+1, agg.ID(), s)
+					}
+				}
+			}
+			for _, w := range workers {
+				if w.LastBudget() <= 0 {
+					t.Errorf("rack %s was pushed no budget", w.ID())
+				}
+			}
+			records := rec.Records()
+			if len(records) != 1 {
+				t.Fatalf("recorded %d periods, want 1", len(records))
+			}
+			rackSpans := make(map[string]int)
+			for _, s := range records[0].Spans {
+				if s.Name == "rack.gather" || s.Name == "rack.apply" {
+					rackSpans[s.Node]++
+				}
+			}
+			leafExplains := 0
+			for _, e := range records[0].Explains {
+				if e.Leaf {
+					leafExplains++
+				}
+			}
+			for _, w := range workers {
+				if rackSpans[w.ID()] != 2 {
+					t.Errorf("rack %s shipped %d spans back, want gather + apply", w.ID(), rackSpans[w.ID()])
+				}
+			}
+			if leafExplains != racks*3 {
+				t.Errorf("period record has %d leaf explain records, want %d", leafExplains, racks*3)
+			}
+		})
+	}
 }

@@ -55,3 +55,51 @@ func BenchmarkRoomRunPeriod(b *testing.B) {
 		}
 	}
 }
+
+// benchRackTree builds the paper's rack: n servers, one supply each,
+// under an unconstrained shifting node, every third server priority 1.
+func benchRackTree(n int) *core.Node {
+	leaves := make([]*core.Node, n)
+	for i := range leaves {
+		prio := core.Priority(3)
+		if i%3 == 0 {
+			prio = 1
+		}
+		id := fmt.Sprintf("srv%03d", i)
+		leaves[i] = core.NewLeaf(id, core.SupplyLeaf{
+			SupplyID: id, ServerID: id, Priority: prio, Share: 1,
+			CapMin: 270, CapMax: 490, Demand: power.Watts(300 + (i*37)%190),
+		})
+	}
+	return core.NewShifting("rack", 0, leaves...)
+}
+
+// BenchmarkRackWorkerPeriod measures the rack's share of a control
+// period — one gather and one budget application over 40 servers — on
+// the worker's persistent engine. Steady state allocates only the
+// returned summary (TestRackWorkerSteadyStateAllocs holds it there).
+func BenchmarkRackWorkerPeriod(b *testing.B) {
+	w, err := NewRackWorker("rack", benchRackTree(40), core.GlobalPriority, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	s, err := w.Gather(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	budget := s.TotalDemand() * 85 / 100
+	if err := w.ApplyBudget(ctx, budget); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Gather(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.ApplyBudget(ctx, budget); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

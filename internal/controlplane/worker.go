@@ -36,17 +36,42 @@ import (
 type BudgetSink func(supplyID string, budget power.Watts)
 
 // RackWorker owns the control subtree for one rack (typically the CDU-level
-// shifting controllers and the rack's capping-controller endpoints).
+// shifting controllers and the rack's capping-controller endpoints) and
+// budgets it on a persistent core.Allocator, so a steady-state period
+// costs a pass over the rack's leaves and allocates only the summary it
+// returns.
+//
+// The tree belongs to the caller, who may edit it in place between calls
+// (never during one) without telling the worker. Every Gather and
+// ApplyBudget therefore reads the leaves afresh and first applies
+// core.Node.Validate's per-node checks to them, failing the call with
+// Validate's error; an edit that changed the tree's shape or a limit
+// rebinds the engine to the edited tree, as SetTree would. Nothing is
+// carried from one call to the next but the engine's scratch.
 type RackWorker struct {
 	id     string
 	policy core.Policy
 
-	mu   sync.Mutex
-	tree *core.Node
-	sink BudgetSink
+	// mu guards everything below. The engines are only ever touched under
+	// it: a pass rewrites the scratch LastAllocation reads.
+	mu     sync.Mutex
+	tree   *core.Node
+	engine *core.Allocator
+	// spare is the engine SetTree binds to the incoming tree before the
+	// two trade places, so that a swap costs no more than validating and
+	// flattening the tree — a caller refreshing demand through SetTree
+	// every period leaves no garbage and finds both engines warm — and
+	// the outgoing engine goes on holding the last allocation.
+	spare *core.Allocator
+	sink  BudgetSink
 
 	lastBudget power.Watts
-	lastAlloc  *core.Allocation
+	// lastAlloc is the most recent ApplyBudget's allocation once somebody
+	// has asked for it; until then it sits in the budget slots of allocIn,
+	// the engine that ran it, and is materialized on demand or when that
+	// engine is about to be rebound (see materialize).
+	lastAlloc *core.Allocation
+	allocIn   *core.Allocator
 
 	log            *slog.Logger
 	met            rackMetrics
@@ -60,7 +85,8 @@ type RackWorker struct {
 	dig fleetobs.StatDigest
 }
 
-// NewRackWorker creates a rack worker for the given local subtree.
+// NewRackWorker creates a rack worker for the given local subtree, which
+// is validated here and stays the caller's (see RackWorker).
 func NewRackWorker(id string, tree *core.Node, policy core.Policy, sink BudgetSink, opts ...Option) (*RackWorker, error) {
 	if id == "" {
 		return nil, errors.New("controlplane: empty rack worker ID")
@@ -68,12 +94,18 @@ func NewRackWorker(id string, tree *core.Node, policy core.Policy, sink BudgetSi
 	if tree == nil {
 		return nil, errors.New("controlplane: nil rack subtree")
 	}
-	if err := tree.Validate(); err != nil {
-		return nil, fmt.Errorf("controlplane: rack %s: %w", id, err)
+	// Both engines are bound here, so that SetTree never builds one: the
+	// worker's footprint is settled at construction instead of growing
+	// with its first swaps.
+	engine, spare := new(core.Allocator), new(core.Allocator)
+	for _, e := range []*core.Allocator{engine, spare} {
+		if err := e.Rebind(tree); err != nil {
+			return nil, fmt.Errorf("controlplane: rack %s: %w", id, err)
+		}
 	}
 	o := buildOptions(opts)
 	return &RackWorker{
-		id: id, policy: policy, tree: tree, sink: sink,
+		id: id, policy: policy, tree: tree, engine: engine, spare: spare, sink: sink,
 		log:            o.log,
 		met:            newRackMetrics(o.reg, id),
 		budgetLogDelta: o.budgetLogDelta,
@@ -83,19 +115,62 @@ func NewRackWorker(id string, tree *core.Node, policy core.Policy, sink BudgetSi
 // ID returns the worker's identifier.
 func (w *RackWorker) ID() string { return w.id }
 
-// SetTree atomically replaces the worker's subtree; callers refresh leaf
-// demand estimates and shares every control period before gathering.
+// SetTree atomically replaces the worker's subtree, validating it and
+// binding an engine to it; an invalid tree leaves the worker on the tree
+// and engine it had. Ownership is as for NewRackWorker: callers either
+// swap in a refreshed tree with SetTree or edit the installed one in place
+// between calls — the worker reads and checks leaf inputs every call and
+// re-flattens on a shape change either way. Every SetTree validates and
+// flattens its tree from scratch, whichever trees came before.
 func (w *RackWorker) SetTree(tree *core.Node) error {
 	if tree == nil {
 		return errors.New("controlplane: nil rack subtree")
 	}
-	if err := tree.Validate(); err != nil {
-		return err
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.rebind(w.spare, tree); err != nil {
+		return err
+	}
 	w.tree = tree
+	w.engine, w.spare = w.spare, w.engine
 	return nil
+}
+
+// rebind points engine at tree, first settling the last allocation if it
+// is engine's to lose. Callers hold mu.
+func (w *RackWorker) rebind(engine *core.Allocator, tree *core.Node) error {
+	if w.allocIn == engine {
+		w.materialize()
+	}
+	return engine.Rebind(tree)
+}
+
+// refresh readies the engine for a pass over the caller-owned tree: the
+// per-call input checks, and a rebind (validating in full, as SetTree
+// does) when the tree was restructured in place.
+func (w *RackWorker) refresh() error {
+	err := w.engine.Recheck()
+	if !errors.Is(err, core.ErrStale) {
+		return err
+	}
+	return w.rebind(w.engine, w.tree)
+}
+
+// materialize turns the last ApplyBudget's pass into the map-based
+// allocation LastAllocation hands out, if nobody has since.
+func (w *RackWorker) materialize() {
+	if w.allocIn != nil {
+		w.lastAlloc = w.allocIn.Snapshot()
+		w.allocIn = nil
+	}
+}
+
+// summarize is the gather both Gather flavours share.
+func (w *RackWorker) summarize() (core.Summary, error) {
+	if err := w.refresh(); err != nil {
+		return core.Summary{}, err
+	}
+	return w.engine.Summarize(w.policy), nil
 }
 
 // Gather computes the metric summary this rack reports upstream.
@@ -106,7 +181,7 @@ func (w *RackWorker) Gather(ctx context.Context) (core.Summary, error) {
 	span := flightrec.TraceFrom(ctx).StartSpan("rack.gather", w.id, flightrec.ParentIDFrom(ctx))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s, err := core.Summarize(w.tree, w.policy)
+	s, err := w.summarize()
 	span.End(err)
 	return s, err
 }
@@ -121,7 +196,7 @@ func (w *RackWorker) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.
 	span := flightrec.TraceFrom(ctx).StartSpan("rack.gather", w.id, flightrec.ParentIDFrom(ctx))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s, err := core.Summarize(w.tree, w.policy)
+	s, err := w.summarize()
 	span.End(err)
 	if err != nil {
 		return core.Summary{}, nil, err
@@ -131,7 +206,8 @@ func (w *RackWorker) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.
 }
 
 // ApplyBudget distributes the budget assigned by the room worker down the
-// rack's subtree and forwards the per-supply budgets to the sink.
+// rack's subtree and forwards the per-supply budgets to the sink, in the
+// tree's flattened (top-down, left-to-right) leaf order.
 func (w *RackWorker) ApplyBudget(ctx context.Context, b power.Watts) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -140,7 +216,12 @@ func (w *RackWorker) ApplyBudget(ctx context.Context, b power.Watts) error {
 	span := pt.StartSpan("rack.apply", w.id, flightrec.ParentIDFrom(ctx))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	alloc, err := core.AllocateExplained(w.tree, b, w.policy, pt.ExplainSink())
+	err := w.refresh()
+	if err == nil {
+		w.engine.SetExplainSink(pt.ExplainSink())
+		w.engine.Run(b, w.policy)
+		w.engine.SetExplainSink(nil)
+	}
 	span.End(err)
 	if err != nil {
 		w.met.applyErrors.Inc()
@@ -156,13 +237,11 @@ func (w *RackWorker) ApplyBudget(ctx context.Context, b power.Watts) error {
 	}
 	w.budgetSeen = true
 	w.lastBudget = b
-	w.lastAlloc = alloc
+	w.allocIn = w.engine
 	w.met.budget.Set(float64(b))
 	w.met.applies.Inc()
 	if w.sink != nil {
-		for supplyID, budget := range alloc.SupplyBudgets {
-			w.sink(supplyID, budget)
-		}
+		w.engine.SupplyBudgets(w.sink)
 	}
 	return nil
 }
@@ -174,11 +253,17 @@ func (w *RackWorker) LastBudget() power.Watts {
 	return w.lastBudget
 }
 
-// LastAllocation returns the most recent local allocation (nil before the
-// first period).
+// LastAllocation returns the allocation of the most recent successful
+// ApplyBudget (nil before the first), whatever SetTree has installed
+// since. It is built on first request from the engine that ran it —
+// reading node and supply IDs off the tree it ran on, which after a
+// SetTree is the outgoing one, so as far as in-place edits go it is a
+// call like any other on either tree — and a period nobody inspects
+// never pays for the maps.
 func (w *RackWorker) LastAllocation() *core.Allocation {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.materialize()
 	return w.lastAlloc
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"capmaestro/internal/power"
@@ -15,7 +16,11 @@ type flatNode struct {
 	// leafParent marks lowest-level shifting controllers (direct parents
 	// of capping-controller endpoints), where LocalPriority collapses.
 	leafParent bool
-	limit      power.Watts // limitOrInf, precomputed
+	// leaf and proxy record the node's kind when it was flattened; with
+	// the child range and limit they are what Recheck compares the live
+	// tree against.
+	leaf, proxy bool
+	limit       power.Watts // limitOrInf, precomputed
 }
 
 // Allocator is a reusable budgeting engine bound to one control tree. It
@@ -28,14 +33,17 @@ type flatNode struct {
 //
 // The Allocator reads the tree's leaves afresh on every Run, so callers
 // may mutate leaf Demand, Priority, Share, and BudgetCap between runs.
-// Structural changes (adding or removing nodes) require a new Allocator.
-// An Allocator is not safe for concurrent use; parallel studies run one
-// replica per worker.
+// Structural changes (adding or removing nodes, editing a limit) and a
+// move to another tree go through Rebind, which keeps the storage; a
+// caller that does not control what happens to the tree between passes
+// asks Recheck first. An Allocator is not safe for concurrent use;
+// parallel studies run one replica per worker.
 type Allocator struct {
-	nodes      []flatNode    // BFS (top-down) order; index 0 is the root
-	summaries  []Summary     // by node index; reused across runs
-	budgets    []power.Watts // by node index; the last Run's result
-	byID       map[string]int
+	nodes      []flatNode      // BFS (top-down) order; index 0 is the root
+	summaries  []Summary       // by node index; reused across runs
+	budgets    []power.Watts   // by node index; the last Run's result
+	byID       map[string]int  // built by the first NodeIndex call
+	seen       map[string]bool // Rebind's ID set, kept between rebinds
 	scratch    distScratch
 	infeasible bool
 	sink       ExplainSink // optional per-node audit stream; nil = free
@@ -43,49 +51,121 @@ type Allocator struct {
 
 // NewAllocator validates the tree and flattens it for repeated allocation.
 func NewAllocator(root *Node) (*Allocator, error) {
-	if root == nil {
-		return nil, fmt.Errorf("core: nil tree")
-	}
-	if err := root.Validate(); err != nil {
+	a := &Allocator{}
+	if err := a.Rebind(root); err != nil {
 		return nil, err
 	}
-	a := &Allocator{byID: make(map[string]int)}
-	// Breadth-first layout: a node's children occupy a contiguous index
-	// range, so child summaries and budgets can be passed as slices.
-	queue := []*Node{root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		a.byID[n.ID] = len(a.nodes)
-		a.nodes = append(a.nodes, flatNode{node: n, limit: n.limitOrInf()})
-		queue = append(queue, n.Children...)
-	}
-	// Second pass: child ranges follow from BFS order.
-	next := 1
-	for i := range a.nodes {
-		fn := &a.nodes[i]
-		fn.childStart = next
-		next += len(fn.node.Children)
-		fn.childEnd = next
-		for _, c := range fn.node.Children {
-			if c.IsLeaf() {
-				fn.leafParent = true
-				break
-			}
-		}
-	}
-	a.summaries = make([]Summary, len(a.nodes))
-	a.budgets = make([]power.Watts, len(a.nodes))
+	// Most allocators keep their tree for life (a Monte Carlo study's has
+	// 100k nodes), so this one gives up the ID set a rebound one keeps.
+	a.seen = nil
 	return a, nil
+}
+
+// Rebind points the Allocator at another tree — or at its own after a
+// structural edit — validating it in full as NewAllocator does, and
+// re-flattens in place: node, summary, budget and waterfill storage and
+// the validation's ID set are all kept, so alternating trees of one shape
+// allocates nothing and the next pass runs as warm as the last. On error
+// the Allocator stays as it was, last Run included; on success the last
+// Run's results are gone. The zero Allocator is unbound and good for
+// nothing but Rebind, which is how a caller expecting to rebind gets one
+// that holds on to its ID set from the start.
+func (a *Allocator) Rebind(root *Node) error {
+	if root == nil {
+		return fmt.Errorf("core: nil tree")
+	}
+	if a.seen == nil {
+		a.seen = make(map[string]bool, len(a.nodes))
+	}
+	clear(a.seen)
+	if err := root.validate(a.seen); err != nil {
+		return err
+	}
+	n := len(a.seen) // IDs are unique: one per node
+	if cap(a.nodes) < n {
+		a.nodes = make([]flatNode, 0, n)
+		a.summaries = make([]Summary, n)
+		a.budgets = make([]power.Watts, n)
+	}
+	// Breadth-first layout, the array being its own queue: a node's
+	// children occupy a contiguous index range, so child summaries and
+	// budgets can be passed as slices.
+	a.nodes = append(a.nodes[:0], flatNode{node: root})
+	for i := 0; i < len(a.nodes); i++ {
+		c := a.nodes[i].node
+		fn := flatNode{
+			node: c, leaf: c.IsLeaf(), proxy: c.Proxy != nil, limit: c.limitOrInf(),
+			childStart: len(a.nodes),
+		}
+		for _, gc := range c.Children {
+			a.nodes = append(a.nodes, flatNode{node: gc})
+			fn.leafParent = fn.leafParent || gc.IsLeaf()
+		}
+		fn.childEnd = len(a.nodes)
+		a.nodes[i] = fn
+	}
+	// Every gather rewrites a summary before reading it, so the slots'
+	// level storage carries over whatever node they held before.
+	a.summaries = a.summaries[:n]
+	a.budgets = a.budgets[:n]
+	clear(a.budgets)
+	a.byID = nil
+	a.infeasible = false
+	return nil
 }
 
 // Len returns the number of tree nodes under the allocator.
 func (a *Allocator) Len() int { return len(a.nodes) }
 
-// NodeIndex returns the index of the node with the given ID.
+// NodeIndex returns the index of the node with the given ID. The ID map
+// is built on the first call: a per-period caller that only ever walks
+// its leaves (a rack worker) never pays for it.
 func (a *Allocator) NodeIndex(id string) (int, bool) {
+	if a.byID == nil {
+		a.byID = make(map[string]int, len(a.nodes))
+		for i := range a.nodes {
+			a.byID[a.nodes[i].node.ID] = i
+		}
+	}
 	i, ok := a.byID[id]
 	return i, ok
+}
+
+// ErrStale is Recheck's report that the tree no longer has the layout the
+// Allocator flattened: the answer is Rebind, which validates the edited
+// tree in full.
+var ErrStale = errors.New("core: tree restructured since its allocator was built")
+
+// Recheck is for callers that do not own the tree, and so cannot know
+// what was edited in place since NewAllocator validated it. Without
+// allocating, it compares every node's kind, children and limit with the
+// flattened layout, returning ErrStale on any difference, and applies
+// Validate's per-node checks (non-empty IDs; leaf share, envelope and
+// demand; proxy summaries) to the inputs the next pass will read,
+// returning Validate's error for the first bad node in flattened order.
+// ID uniqueness, which needs a map, is the one check it leaves to
+// Rebind.
+func (a *Allocator) Recheck() error {
+	for i := range a.nodes {
+		fn := &a.nodes[i]
+		n := fn.node
+		if n.IsLeaf() != fn.leaf || (n.Proxy != nil) != fn.proxy ||
+			len(n.Children) != fn.childEnd-fn.childStart || n.limitOrInf() != fn.limit {
+			return ErrStale
+		}
+		for k, c := range n.Children {
+			if c != a.nodes[fn.childStart+k].node {
+				return ErrStale
+			}
+		}
+		if n.ID == "" {
+			return errEmptyID
+		}
+		if err := n.validateLocal(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // NodeBudget returns the budget the last Run assigned to node index i.
@@ -132,7 +212,7 @@ func (a *Allocator) gather(policy Policy) {
 // budget (non-positive uses the root constraint), reusing all scratch. It
 // reports whether the allocation was infeasible; per-node results are read
 // with NodeBudget/SupplyBudgets/Snapshot. Run never fails: the tree was
-// validated when the Allocator was built.
+// validated when the Allocator was bound to it.
 func (a *Allocator) Run(budget power.Watts, policy Policy) (infeasible bool) {
 	a.gather(policy)
 	a.infeasible = false
@@ -176,6 +256,16 @@ func (a *Allocator) Run(budget power.Watts, policy Policy) (infeasible bool) {
 func (a *Allocator) Summarize(policy Policy) Summary {
 	a.gather(policy)
 	return a.summaries[0].Clone()
+}
+
+// SupplyBudgets calls fn with each supply leaf's ID and the budget the last
+// Run assigned it, in flattened (top-down, left-to-right) leaf order.
+func (a *Allocator) SupplyBudgets(fn func(supplyID string, budget power.Watts)) {
+	for i := range a.nodes {
+		if a.nodes[i].leaf {
+			fn(a.nodes[i].node.Leaf.SupplyID, a.budgets[i])
+		}
+	}
 }
 
 // Snapshot materializes the last Run as a map-based Allocation, the

@@ -130,7 +130,9 @@ func classifyClamp(granted power.Watts, s *Summary, infeasible bool) Clamp {
 
 // AllocateExplained is Allocate with a per-node explanation stream: sink
 // (may be nil) receives one NodeExplain per tree node for the pass that
-// produced the returned allocation.
+// produced the returned allocation. Like Allocate it is one-shot: tests,
+// examples and oracles — a per-period caller holds an Allocator and uses
+// SetExplainSink.
 func AllocateExplained(root *Node, budget power.Watts, policy Policy, sink ExplainSink) (*Allocation, error) {
 	a, err := NewAllocator(root)
 	if err != nil {

@@ -491,7 +491,9 @@ func LeafSummary(l *SupplyLeaf) Summary {
 }
 
 // Summarize runs the metrics gathering phase over a subtree and returns
-// the summary its root would report upstream under the given policy.
+// the summary its root would report upstream under the given policy. It
+// is one-shot: tests, examples and oracles — a per-period caller holds an
+// Allocator and calls its Summarize.
 func Summarize(root *Node, policy Policy) (Summary, error) {
 	a, err := NewAllocator(root)
 	if err != nil {

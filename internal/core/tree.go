@@ -16,6 +16,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -113,55 +114,70 @@ func (n *Node) Leaves() []*Node {
 	return out
 }
 
+// errEmptyID is Validate's complaint about a node without an ID.
+var errEmptyID = errors.New("core: node with empty ID")
+
 // Validate checks structural invariants: unique IDs, leaves with valid
 // supply data, internal nodes with at least one child.
 func (n *Node) Validate() error {
-	seen := make(map[string]bool)
-	var check func(m *Node) error
-	check = func(m *Node) error {
-		if m.ID == "" {
-			return fmt.Errorf("core: node with empty ID")
+	return n.validate(make(map[string]bool))
+}
+
+// validate is Validate over the subtree at m, depth-first, with the IDs
+// met so far in seen; Allocator.Rebind brings a set it keeps.
+func (m *Node) validate(seen map[string]bool) error {
+	if m.ID == "" {
+		return errEmptyID
+	}
+	if seen[m.ID] {
+		return fmt.Errorf("core: duplicate node ID %q", m.ID)
+	}
+	seen[m.ID] = true
+	if err := m.validateLocal(); err != nil {
+		return err
+	}
+	for _, c := range m.Children {
+		if err := c.validate(seen); err != nil {
+			return err
 		}
-		if seen[m.ID] {
-			return fmt.Errorf("core: duplicate node ID %q", m.ID)
+	}
+	return nil
+}
+
+// validateLocal checks what Validate can decide from the node alone (its
+// ID aside): a proxy's or leaf's shape and inputs, an internal node's
+// having children. Allocator.Recheck shares it, so an input edited in
+// place fails a pass with the error Validate would have given.
+func (m *Node) validateLocal() error {
+	if m.Proxy != nil {
+		if len(m.Children) > 0 || m.Leaf != nil {
+			return fmt.Errorf("core: proxy %q must not have children or a leaf", m.ID)
 		}
-		seen[m.ID] = true
-		if m.Proxy != nil {
-			if len(m.Children) > 0 || m.Leaf != nil {
-				return fmt.Errorf("core: proxy %q must not have children or a leaf", m.ID)
-			}
-			return m.Proxy.Validate()
+		return m.Proxy.Validate()
+	}
+	if m.IsLeaf() {
+		if len(m.Children) > 0 {
+			return fmt.Errorf("core: leaf %q has children", m.ID)
 		}
-		if m.IsLeaf() {
-			if len(m.Children) > 0 {
-				return fmt.Errorf("core: leaf %q has children", m.ID)
-			}
-			l := m.Leaf
-			switch {
-			case l.SupplyID == "":
-				return fmt.Errorf("core: leaf %q has empty supply ID", m.ID)
-			case l.ServerID == "":
-				return fmt.Errorf("core: leaf %q has empty server ID", m.ID)
-			case l.Share <= 0 || l.Share > 1:
-				return fmt.Errorf("core: leaf %q share %v out of (0,1]", m.ID, l.Share)
-			case l.CapMin < 0 || l.CapMax < l.CapMin:
-				return fmt.Errorf("core: leaf %q envelope [%v,%v] invalid", m.ID, l.CapMin, l.CapMax)
-			case l.Demand < 0:
-				return fmt.Errorf("core: leaf %q negative demand", m.ID)
-			}
-			return nil
-		}
-		if len(m.Children) == 0 {
-			return fmt.Errorf("core: shifting controller %q has no children", m.ID)
-		}
-		for _, c := range m.Children {
-			if err := check(c); err != nil {
-				return err
-			}
+		l := m.Leaf
+		switch {
+		case l.SupplyID == "":
+			return fmt.Errorf("core: leaf %q has empty supply ID", m.ID)
+		case l.ServerID == "":
+			return fmt.Errorf("core: leaf %q has empty server ID", m.ID)
+		case l.Share <= 0 || l.Share > 1:
+			return fmt.Errorf("core: leaf %q share %v out of (0,1]", m.ID, l.Share)
+		case l.CapMin < 0 || l.CapMax < l.CapMin:
+			return fmt.Errorf("core: leaf %q envelope [%v,%v] invalid", m.ID, l.CapMin, l.CapMax)
+		case l.Demand < 0:
+			return fmt.Errorf("core: leaf %q negative demand", m.ID)
 		}
 		return nil
 	}
-	return check(n)
+	if len(m.Children) == 0 {
+		return fmt.Errorf("core: shifting controller %q has no children", m.ID)
+	}
+	return nil
 }
 
 // LeafInfo supplies per-server data when building a control tree from a
