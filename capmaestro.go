@@ -402,15 +402,6 @@ type (
 // config leaves it zero.
 const DefaultFanOut = controlplane.DefaultFanOut
 
-// Wire codec names for WithWireCodec and -wire-codec flags. Servers
-// default to auto-detecting each connection's codec; clients default to
-// JSON unless the CAPMAESTRO_WIRE_CODEC environment variable overrides.
-const (
-	CodecJSON   = controlplane.CodecJSON
-	CodecBinary = controlplane.CodecBinary
-	CodecAuto   = controlplane.CodecAuto
-)
-
 // NewRackWorker creates a rack worker over the rack's local control tree.
 func NewRackWorker(id string, tree *Node, policy Policy, sink BudgetSink, opts ...ControlPlaneOption) (*RackWorker, error) {
 	return controlplane.NewRackWorker(id, tree, policy, sink, opts...)
@@ -441,19 +432,10 @@ func DialRack(addr string, timeout time.Duration, opts ...ControlPlaneOption) *R
 	return controlplane.DialRack(addr, timeout, opts...)
 }
 
-// WithWireCodec selects the transport codec by name: CodecJSON,
-// CodecBinary, or CodecAuto (the default — servers accept both, clients
-// consult CAPMAESTRO_WIRE_CODEC then fall back to JSON). Parse
-// user-supplied names with ParseWireCodec first.
-func WithWireCodec(name string) ControlPlaneOption { return controlplane.WithWireCodec(name) }
-
-// ParseWireCodec validates a codec name from a flag or config file.
-func ParseWireCodec(name string) (string, error) { return controlplane.ParseWireCodec(name) }
-
 // WithDeltaDeadband sets how far a rack's summary may drift (per metric,
-// in watts) while the server still answers binary-codec gathers with a
-// few-byte "unchanged" frame. Zero (default) squashes only identical
-// summaries; negative disables delta responses.
+// in watts) while the server still answers gathers with a few-byte
+// "unchanged" frame. Zero (default) squashes only identical summaries;
+// negative disables delta responses.
 func WithDeltaDeadband(d Watts) ControlPlaneOption { return controlplane.WithDeltaDeadband(d) }
 
 // WithRPCRetry sets the TCP client's retry budget per request.

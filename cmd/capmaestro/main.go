@@ -57,9 +57,6 @@ func main() {
 		"serve demo: transport retries per rack RPC after a failure (<=0 disables)")
 	rpcBackoff := flag.Duration("rpc-retry-backoff", controlplane.DefaultRPCRetryBackoff,
 		"serve demo: initial backoff between rack RPC retries (doubles per retry)")
-	wireCodec := flag.String("wire-codec", controlplane.CodecAuto,
-		"distributed/serve demos: rack transport codec — json, binary, or auto (servers detect per connection; clients follow "+
-			controlplane.WireCodecEnv+", defaulting to json)")
 	traceBuffer := flag.Int("trace-buffer", flightrec.DefaultBufferSize,
 		"serve demo: control periods retained by the flight recorder on /debug/periods and /debug/trace.json (0 disables)")
 	sloRules := flag.String("slo-rules", "",
@@ -74,12 +71,6 @@ func main() {
 	flag.Parse()
 
 	logger, err := logOpts.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	codec, err := controlplane.ParseWireCodec(*wireCodec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -112,7 +103,7 @@ func main() {
 	case "spo":
 		err = demoSPO()
 	case "distributed":
-		err = demoDistributed(reg, codec)
+		err = demoDistributed(reg)
 	case "scheduler":
 		err = demoScheduler()
 	case "serve":
@@ -123,7 +114,6 @@ func main() {
 			rpcRetryBackoff:  *rpcBackoff,
 			traceBuffer:      *traceBuffer,
 			sloRulesFile:     *sloRules,
-			wireCodec:        codec,
 			fleetDigests:     *fleetDigests,
 			fleetHistory:     *fleetHistory,
 		})
@@ -279,11 +269,8 @@ func demoScheduler() error {
 // demoDistributed wires two rack workers to a room worker over loopback
 // TCP and runs control periods, printing each rack's budget. With
 // -telemetry-addr set, reg is non-nil and every layer is instrumented.
-func demoDistributed(reg *telemetry.Registry, wireCodec string) error {
-	opts := []controlplane.Option{
-		controlplane.WithTelemetry(reg),
-		controlplane.WithWireCodec(wireCodec),
-	}
+func demoDistributed(reg *telemetry.Registry) error {
+	opts := []controlplane.Option{controlplane.WithTelemetry(reg)}
 	var mu sync.Mutex
 	budgets := map[string]power.Watts{}
 	sink := func(supplyID string, b power.Watts) {
@@ -370,7 +357,6 @@ type serveConfig struct {
 	rpcRetryBackoff  time.Duration
 	traceBuffer      int
 	sloRulesFile     string
-	wireCodec        string
 	fleetDigests     bool
 	fleetHistory     int
 }
@@ -387,7 +373,6 @@ func demoServe(reg *telemetry.Registry, ts *telemetry.Server, logger *slog.Logge
 		controlplane.WithStalenessBound(cfg.stalenessPeriods),
 		controlplane.WithFailsafeBudget(cfg.failsafeBudget),
 		controlplane.WithRPCRetry(cfg.rpcRetries, cfg.rpcRetryBackoff),
-		controlplane.WithWireCodec(cfg.wireCodec),
 		// Shared by workers and clients: workers roll rack digests into the
 		// fleet rollup, clients request them in-band on gather frames.
 		controlplane.WithDigests(cfg.fleetDigests),

@@ -33,7 +33,7 @@ func main() {
 		spr      = flag.Int("servers-per-rack", 40, "servers per rack")
 		levels   = flag.Int("levels", 2, "worker tiers including racks and room (2 = flat, 3 = one aggregator tier)")
 		fanOut   = flag.Int("fan-out", 50, "aggregator fan-out and racks per TCP endpoint")
-		codec    = flag.String("codec", "binary", "wire codec: json, binary, or binary-delta")
+		codec    = flag.String("codec", "binary", "wire codec: binary (delta responses off) or binary-delta (1 W delta deadband)")
 		batch    = flag.Bool("batch", true, "multiplex each endpoint's racks into batch frames")
 		pipeline = flag.Bool("pipeline", false, "overlap each period's push with the next period's gather")
 		periods  = flag.Int("periods", 20, "measured control periods")

@@ -35,15 +35,9 @@ func main() {
 		"control periods retained by the flight recorder on /debug/periods and /debug/trace.json (0 disables)")
 	sloRules := flag.String("slo-rules", "",
 		"JSON alert-rule file for the safety-SLO tracker on /debug/slo (empty uses the built-in rules)")
-	wireCodecFlag := flag.String("wire-codec", capmaestro.CodecBinary,
-		"epilogue rack transport codec: json, binary, or auto")
 	logOpts := logging.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	logger, err := logOpts.Logger(os.Stderr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	wireCodec, err := capmaestro.ParseWireCodec(*wireCodecFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -242,10 +236,9 @@ func main() {
 
 	// Night shift: the same control loop as a distributed deployment —
 	// rack workers behind real TCP sockets, the room worker gathering and
-	// budgeting over the wire. With the binary codec (the default here),
-	// steady overnight load means most gathers come back as few-byte
-	// "unchanged" delta frames.
-	if err := distributedEpilogue(wireCodec, reg); err != nil {
+	// budgeting over the wire. Steady overnight load means most gathers
+	// come back as few-byte "unchanged" delta frames.
+	if err := distributedEpilogue(reg); err != nil {
 		log.Fatal(err)
 	}
 
@@ -259,16 +252,15 @@ func main() {
 
 // distributedEpilogue replays the overnight steady state through the TCP
 // control plane: two rack workers served on loopback, a room worker
-// dialing them with the chosen wire codec, and a handful of control
-// periods so the binary codec's delta path engages.
-func distributedEpilogue(wireCodec string, reg *capmaestro.TelemetryRegistry) error {
-	fmt.Println("\nNight shift, distributed: rack workers behind TCP, codec " + wireCodec)
+// dialing them, and a handful of control periods so the wire's delta
+// path engages.
+func distributedEpilogue(reg *capmaestro.TelemetryRegistry) error {
+	fmt.Println("\nNight shift, distributed: rack workers behind TCP")
 	if reg == nil {
 		reg = capmaestro.NewTelemetryRegistry()
 	}
 	opts := []capmaestro.ControlPlaneOption{
 		capmaestro.WithControlPlaneTelemetry(reg),
-		capmaestro.WithWireCodec(wireCodec),
 		capmaestro.WithDeltaDeadband(0.5),
 	}
 	sink := func(string, capmaestro.Watts) {}
@@ -321,8 +313,8 @@ func distributedEpilogue(wireCodec string, reg *capmaestro.TelemetryRegistry) er
 	fmt.Printf("  %d control periods over TCP across %d racks, last period %d served / %d gather errors\n",
 		periods, len(clients), stats.RacksServed, stats.GatherErrors)
 	fmt.Printf("  unchanged-summary delta frames served from cache: %.0f\n", deltaHits)
-	if wireCodec == capmaestro.CodecBinary && deltaHits == 0 {
-		return fmt.Errorf("binary codec ran %d steady periods but no gather was delta-squashed", periods)
+	if deltaHits == 0 {
+		return fmt.Errorf("%d steady periods over TCP but no gather was delta-squashed", periods)
 	}
 	return nil
 }

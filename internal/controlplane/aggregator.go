@@ -79,6 +79,9 @@ type Aggregator struct {
 	down       map[string]bool // children whose last gather failed
 	stale      map[string]int  // consecutive failed gathers per child
 	lastBudget power.Watts
+	// pushed holds, per child in childList order, the budget its last
+	// successful push delivered; ok is false until one succeeds.
+	pushed     []pushedBudget
 	lastAlloc  *core.Allocation
 	lastStats  PeriodStats
 	lastUnseen int // gauge deltas: same-level aggregators share instruments
@@ -151,6 +154,7 @@ func NewAggregator(tree *core.Node, policy core.Policy, clients map[string]RackC
 		seen:           make(map[string]bool, len(clients)),
 		down:           make(map[string]bool, len(clients)),
 		stale:          make(map[string]int, len(clients)),
+		pushed:         make([]pushedBudget, len(childList)),
 	}
 	a.fan.digests = a.digests
 	// Until the first gather every child is unseen: an ApplyBudget that
@@ -180,7 +184,7 @@ func (a *Aggregator) Gather(ctx context.Context) (core.Summary, error) {
 // GatherDigest implements DigestGatherer: one gather pass that also folds
 // the children's fleet digests into a single subtree digest. Children that
 // sent no digest (digest-less transports) are synthesized from their
-// summaries and last allocated budgets, so the rollup covers every child
+// summaries and last pushed budgets, so the rollup covers every child
 // that gathered successfully either way. The returned digest points into
 // per-aggregator scratch and is valid until the next gather pass.
 func (a *Aggregator) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.StatDigest, error) {
@@ -233,7 +237,8 @@ func (a *Aggregator) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.
 
 // foldDigest merges this pass's child digests and stamps the aggregator's
 // own level row. Called under runMu (for the hold map) right after
-// commitGather; takes mu for the staleness bookkeeping and last budgets.
+// commitGather; takes mu for the staleness bookkeeping and pushed budgets.
+// The wave's calls are in childList order, like pushed.
 func (a *Aggregator) foldDigest(e *fanEngine, gatherErrors int) *fleetobs.StatDigest {
 	a.dm.reset()
 	own := fleetobs.LevelStats{
@@ -243,17 +248,12 @@ func (a *Aggregator) foldDigest(e *fanEngine, gatherErrors int) *fleetobs.StatDi
 		Held:         len(a.hold),
 	}
 	a.mu.Lock()
-	var budgets map[string]power.Watts
-	if a.lastAlloc != nil {
-		budgets = a.lastAlloc.NodeBudgets
-	}
 	for i := range e.calls {
 		c := &e.calls[i]
 		if c.err != nil {
 			continue
 		}
-		b, haveB := budgets[c.id]
-		a.dm.note(c.id, c.digest, &c.summary, b, haveB)
+		a.dm.note(c.id, c.digest, &c.summary, a.pushed[i].w, a.pushed[i].ok)
 		own.GatherLatency.Observe(fleetobs.LatencyBounds, c.elapsed.Seconds())
 	}
 	var staleOut []fleetobs.Outlier
@@ -386,6 +386,11 @@ func (a *Aggregator) ApplyBudget(ctx context.Context, b power.Watts) error {
 	a.met.applyErrors.Add(float64(applyErrors))
 
 	a.mu.Lock()
+	for i := range e.calls {
+		if c := &e.calls[i]; !c.skip && c.err == nil {
+			a.pushed[i] = pushedBudget{w: c.budget, ok: true}
+		}
+	}
 	a.lastBudget = b
 	a.lastAlloc = alloc
 	a.lastStats.ApplyErrors = applyErrors
@@ -397,6 +402,12 @@ func (a *Aggregator) ApplyBudget(ctx context.Context, b power.Watts) error {
 			"apply_errors", applyErrors, "budgets_held", held)
 	}
 	return firstErr
+}
+
+// pushedBudget is the budget a child's last successful push delivered.
+type pushedBudget struct {
+	w  power.Watts
+	ok bool
 }
 
 // LastBudget returns the budget most recently received from upstream.

@@ -42,95 +42,87 @@ func batchFixture(t *testing.T, clientOpts, serverOpts []Option) (*TCPClient, ma
 }
 
 func TestServeRacksRouting(t *testing.T) {
-	for _, codec := range []string{CodecJSON, CodecBinary} {
-		t.Run(codec, func(t *testing.T) {
-			c, _ := batchFixture(t, []Option{WithWireCodec(codec)}, nil)
-			ctx := context.Background()
+	c, _ := batchFixture(t, nil, nil)
+	ctx := context.Background()
 
-			// Routed singles hit the named rack: demands differ per rack.
-			sa, err := c.Rack("ra").Gather(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := c.Rack("rc").Gather(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sa.TotalDemand() >= sc.TotalDemand() {
-				t.Errorf("routing mixed racks up: ra demand %v, rc demand %v", sa.TotalDemand(), sc.TotalDemand())
-			}
-			if err := c.Rack("ra").ApplyBudget(ctx, 800); err != nil {
-				t.Fatal(err)
-			}
+	// Routed singles hit the named rack: demands differ per rack.
+	sa, err := c.Rack("ra").Gather(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := c.Rack("rc").Gather(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sa.TotalDemand() >= sc.TotalDemand() {
+		t.Errorf("routing mixed racks up: ra demand %v, rc demand %v", sa.TotalDemand(), sc.TotalDemand())
+	}
+	if err := c.Rack("ra").ApplyBudget(ctx, 800); err != nil {
+		t.Fatal(err)
+	}
 
-			// Unknown rack is a clean per-call error, and the connection
-			// survives it.
-			if _, err := c.Rack("ghost").Gather(ctx); err == nil || !strings.Contains(err.Error(), "ghost") {
-				t.Errorf("unknown rack gather error = %v", err)
-			}
-			if _, err := c.Rack("ra").Gather(ctx); err != nil {
-				t.Errorf("gather after unknown-rack error: %v", err)
-			}
+	// Unknown rack is a clean per-call error, and the connection
+	// survives it.
+	if _, err := c.Rack("ghost").Gather(ctx); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Errorf("unknown rack gather error = %v", err)
+	}
+	if _, err := c.Rack("ra").Gather(ctx); err != nil {
+		t.Errorf("gather after unknown-rack error: %v", err)
+	}
 
-			// An un-routed single on a multi-rack server has no default
-			// worker to land on.
-			if _, err := c.Gather(ctx); err == nil {
-				t.Error("un-routed gather against multi-rack server should fail")
-			}
-		})
+	// An un-routed single on a multi-rack server has no default
+	// worker to land on.
+	if _, err := c.Gather(ctx); err == nil {
+		t.Error("un-routed gather against multi-rack server should fail")
 	}
 }
 
-func TestBatchOpsBothCodecs(t *testing.T) {
-	for _, codec := range []string{CodecJSON, CodecBinary} {
-		t.Run(codec, func(t *testing.T) {
-			c, workers := batchFixture(t, []Option{WithWireCodec(codec)}, nil)
-			ctx := context.Background()
+func TestBatchOps(t *testing.T) {
+	c, workers := batchFixture(t, nil, nil)
+	ctx := context.Background()
 
-			racks := []string{"ra", "rb", "rc", "ghost"}
-			out := make([]GatherResult, len(racks))
-			if err := c.GatherBatch(ctx, racks, out); err != nil {
-				t.Fatal(err)
-			}
-			for i, id := range racks[:3] {
-				if out[i].Err != nil {
-					t.Fatalf("batch gather %s: %v", id, out[i].Err)
-				}
-				want := power.Watts(2 * (380 + 20*i))
-				if got := out[i].Summary.TotalDemand(); math.Abs(float64(got-want)) > 0.001 {
-					t.Errorf("batch gather %s demand = %v, want %v", id, got, want)
-				}
-			}
-			if out[3].Err == nil || !strings.Contains(out[3].Err.Error(), "ghost") {
-				t.Errorf("batch gather unknown rack err = %v", out[3].Err)
-			}
+	racks := []string{"ra", "rb", "rc", "ghost"}
+	out := make([]GatherResult, len(racks))
+	if err := c.GatherBatch(ctx, racks, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range racks[:3] {
+		if out[i].Err != nil {
+			t.Fatalf("batch gather %s: %v", id, out[i].Err)
+		}
+		want := power.Watts(2 * (380 + 20*i))
+		if got := out[i].Summary.TotalDemand(); math.Abs(float64(got-want)) > 0.001 {
+			t.Errorf("batch gather %s demand = %v, want %v", id, got, want)
+		}
+	}
+	if out[3].Err == nil || !strings.Contains(out[3].Err.Error(), "ghost") {
+		t.Errorf("batch gather unknown rack err = %v", out[3].Err)
+	}
 
-			budgets := []BatchBudget{{Rack: "ra", Budget: 700}, {Rack: "ghost", Budget: 1}, {Rack: "rc", Budget: 900}}
-			errs := make([]error, len(budgets))
-			if err := c.ApplyBudgetBatch(ctx, budgets, errs); err != nil {
-				t.Fatal(err)
-			}
-			if errs[0] != nil || errs[2] != nil {
-				t.Fatalf("batch budget errs = %v", errs)
-			}
-			if errs[1] == nil {
-				t.Error("batch budget to unknown rack should error")
-			}
-			if got := workers["ra"].LastBudget(); math.Abs(float64(got-700)) > 0.001 {
-				t.Errorf("ra budget = %v, want 700", got)
-			}
-			if got := workers["rc"].LastBudget(); math.Abs(float64(got-900)) > 0.001 {
-				t.Errorf("rc budget = %v, want 900", got)
-			}
+	budgets := []BatchBudget{{Rack: "ra", Budget: 700}, {Rack: "ghost", Budget: 1}, {Rack: "rc", Budget: 900}}
+	errs := make([]error, len(budgets))
+	if err := c.ApplyBudgetBatch(ctx, budgets, errs); err != nil {
+		t.Fatal(err)
+	}
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("batch budget errs = %v", errs)
+	}
+	if errs[1] == nil {
+		t.Error("batch budget to unknown rack should error")
+	}
+	if got := workers["ra"].LastBudget(); math.Abs(float64(got-700)) > 0.001 {
+		t.Errorf("ra budget = %v, want 700", got)
+	}
+	if got := workers["rc"].LastBudget(); math.Abs(float64(got-900)) > 0.001 {
+		t.Errorf("rc budget = %v, want 900", got)
+	}
 
-			// Shape errors are caller bugs, reported before any I/O.
-			if err := c.GatherBatch(ctx, racks, make([]GatherResult, 1)); err == nil {
-				t.Error("mismatched out length should fail")
-			}
-			if err := c.GatherBatch(ctx, nil, nil); err != nil {
-				t.Errorf("empty batch gather: %v", err)
-			}
-		})
+	// Shape errors are caller bugs, reported before any I/O.
+	if err := c.GatherBatch(ctx, racks, make([]GatherResult, 1)); err == nil {
+		t.Error("mismatched out length should fail")
+	}
+	if err := c.GatherBatch(ctx, nil, nil); err != nil {
+		t.Errorf("empty batch gather: %v", err)
 	}
 }
 
@@ -139,9 +131,7 @@ func TestBatchOpsBothCodecs(t *testing.T) {
 // client resolves them from its per-rack cache.
 func TestBatchDeltaUnchanged(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c, _ := batchFixture(t,
-		[]Option{WithWireCodec(CodecBinary), WithTelemetry(reg)},
-		[]Option{WithDeltaDeadband(1)})
+	c, _ := batchFixture(t, []Option{WithTelemetry(reg)}, []Option{WithDeltaDeadband(1)})
 	ctx := context.Background()
 
 	racks := []string{"ra", "rb", "rc"}
@@ -194,7 +184,7 @@ func TestRoomBatchFramesPerPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	c := DialRack(srv.Addr(), 2*time.Second, WithWireCodec(CodecBinary))
+	c := DialRack(srv.Addr(), 2*time.Second)
 	t.Cleanup(func() { c.Close() })
 
 	clients := make(map[string]RackClient, len(serve))

@@ -3,12 +3,10 @@ package controlplane
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"time"
 
 	"capmaestro/internal/core"
@@ -18,92 +16,26 @@ import (
 	"capmaestro/internal/telemetry"
 )
 
-// Wire codec names accepted by WithWireCodec and the -wire-codec flags.
-// Servers default to auto-detection and speak whatever each connection
-// opens with; clients default to JSON unless CAPMAESTRO_WIRE_CODEC says
-// otherwise.
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
-	CodecAuto   = "auto"
-)
+// CodecBinary names the rack transport's wire codec, the only one there
+// is. WithWireCodec accepts it (or "", the default) and nothing else.
+const CodecBinary = "binary"
 
-// WireCodecEnv is the environment variable consulted for the default
-// client codec when no WithWireCodec option (or an "auto" value) is given.
-// It lets whole test suites and deployments flip codecs without touching
-// call sites.
-const WireCodecEnv = "CAPMAESTRO_WIRE_CODEC"
+// errWireCodec marks a WithWireCodec name other than CodecBinary. It is
+// terminal: ServeRack and ServeRacks refuse to start, and a client fails
+// its first dial without retrying.
+var errWireCodec = errors.New("controlplane: unknown wire codec")
 
-// ParseWireCodec validates a codec name from a flag or config file.
-func ParseWireCodec(name string) (string, error) {
-	switch name {
-	case CodecJSON, CodecBinary, CodecAuto, "":
-		if name == "" {
-			return CodecAuto, nil
-		}
-		return name, nil
-	default:
-		return "", fmt.Errorf("controlplane: unknown wire codec %q (want %s, %s, or %s)",
-			name, CodecJSON, CodecBinary, CodecAuto)
+// checkWireCodec validates a WithWireCodec value.
+func checkWireCodec(name string) error {
+	if name == "" || name == CodecBinary {
+		return nil
 	}
+	return fmt.Errorf("%w %q (binary is the only codec)", errWireCodec, name)
 }
 
-// resolveClientCodec maps an option value to the concrete codec a client
-// dials with: an explicit choice wins, then the environment, then JSON.
-func resolveClientCodec(name string) string {
-	if name == CodecJSON || name == CodecBinary {
-		return name
-	}
-	if env := os.Getenv(WireCodecEnv); env == CodecJSON || env == CodecBinary {
-		return env
-	}
-	return CodecJSON
-}
-
-// codec encodes and decodes one side of a rack transport connection. A
-// codec instance owns reusable buffers and is bound to a single
-// connection; it is not safe for concurrent use (the transport serializes
-// requests per connection).
-type codec interface {
-	Name() string
-	WriteRequest(req *wireRequest) error
-	ReadRequest(req *wireRequest) error
-	WriteResponse(resp *wireResponse) error
-	ReadResponse(resp *wireResponse) error
-}
-
-// jsonCodec is the historical newline-delimited JSON protocol: one request
-// object per line, one response object per line. It remains the
-// compatibility default; its byte stream is pinned by the wire-shape
-// tests.
-type jsonCodec struct {
-	dec *json.Decoder
-	enc *json.Encoder
-}
-
-func newJSONCodec(r *bufio.Reader, w io.Writer) *jsonCodec {
-	return &jsonCodec{dec: json.NewDecoder(r), enc: json.NewEncoder(w)}
-}
-
-func (c *jsonCodec) Name() string { return CodecJSON }
-
-func (c *jsonCodec) WriteRequest(req *wireRequest) error { return c.enc.Encode(req) }
-
-func (c *jsonCodec) ReadRequest(req *wireRequest) error {
-	*req = wireRequest{}
-	return c.dec.Decode(req)
-}
-
-func (c *jsonCodec) WriteResponse(resp *wireResponse) error { return c.enc.Encode(resp) }
-
-func (c *jsonCodec) ReadResponse(resp *wireResponse) error {
-	*resp = wireResponse{}
-	return c.dec.Decode(resp)
-}
-
-// The binary protocol: a connection opens with a two-byte preamble
-// [binMagic, binVersion] (which the server uses to tell binary apart from
-// JSON, whose first byte is '{'), then carries length-prefixed frames:
+// The wire protocol: a connection opens with a two-byte preamble
+// [binMagic, binVersion], which the server checks before it decodes
+// anything, then carries length-prefixed frames:
 //
 //	[u32 LE payload length][payload]
 //
@@ -114,7 +46,7 @@ func (c *jsonCodec) ReadResponse(resp *wireResponse) error {
 // with trailing bytes, so malformed or adversarial input fails with an
 // error and bounded memory, never a panic.
 const (
-	binMagic   = 0xC5 // first preamble byte; never valid leading JSON
+	binMagic   = 0xC5 // first preamble byte
 	binVersion = 1
 
 	// maxFrameLen bounds a single frame's payload. A 1024-rack summary
@@ -195,12 +127,14 @@ func opFromByte(b byte) (string, error) {
 	}
 }
 
-// binaryCodec implements the length-prefixed binary protocol. Encode
-// assembles each frame in a reusable buffer and issues one Write; decode
-// reads each frame into a reusable buffer and parses in place. Steady
-// state (buffers grown, no trace attached) allocates nothing on either
-// path except fresh Summary levels on full-summary frames, which must
-// outlive the codec (the room worker retains them in rack proxies).
+// binaryCodec encodes and decodes one side of a rack transport
+// connection. Encode assembles each frame in a reusable buffer and issues
+// one Write; decode reads each frame into a reusable buffer and parses in
+// place. Steady state (buffers grown, no trace attached) allocates
+// nothing on either path except fresh Summary levels on full-summary
+// frames, which must outlive the codec (the room worker retains them in
+// rack proxies). A codec is bound to a single connection and is not safe
+// for concurrent use (the transport serializes requests per connection).
 type binaryCodec struct {
 	r *bufio.Reader
 	w io.Writer
@@ -225,8 +159,6 @@ type binaryCodec struct {
 func newBinaryCodec(r *bufio.Reader, w io.Writer) *binaryCodec {
 	return &binaryCodec{r: r, w: w}
 }
-
-func (c *binaryCodec) Name() string { return CodecBinary }
 
 // binWriter appends primitive fields to a frame under construction,
 // latching the first error.
@@ -1012,51 +944,35 @@ func (c *binaryCodec) ReadResponse(resp *wireResponse) error {
 }
 
 // newClientCodec builds the codec a freshly dialed client connection
-// speaks. Binary clients owe the connection preamble before their first
-// frame.
-func newClientCodec(name string, rw io.ReadWriter) codec {
-	br := bufio.NewReader(rw)
-	if name == CodecBinary {
-		c := newBinaryCodec(br, rw)
-		c.sendPreamble = true
-		return c
-	}
-	return newJSONCodec(br, rw)
+// speaks; it owes the connection preamble before its first frame.
+func newClientCodec(rw io.ReadWriter) *binaryCodec {
+	c := newBinaryCodec(bufio.NewReader(rw), rw)
+	c.sendPreamble = true
+	return c
 }
 
-// detectServerCodec inspects the first byte of a new server-side
-// connection and returns the codec it speaks: '{' opens a JSON request,
-// binMagic opens the binary preamble. accept restricts which codecs the
-// server admits (CodecAuto admits both).
-func detectServerCodec(br *bufio.Reader, w io.Writer, accept string) (codec, error) {
+// newServerCodec checks a new server-side connection's preamble before
+// anything is decoded: binMagic, then binVersion. Any other opening (an
+// old newline-JSON client's '{' included) is a protocolError.
+func newServerCodec(br *bufio.Reader, w io.Writer) (*binaryCodec, error) {
 	first, err := br.Peek(1)
 	if err != nil {
 		return nil, err
 	}
-	switch first[0] {
-	case binMagic:
-		if accept == CodecJSON {
-			return nil, &protocolError{msg: "binary preamble on a JSON-only server"}
-		}
-		pre, err := br.Peek(2)
-		if err != nil {
-			return nil, err
-		}
-		if pre[1] != binVersion {
-			return nil, &protocolError{msg: fmt.Sprintf("binary preamble version %d, want %d", pre[1], binVersion)}
-		}
-		if _, err := br.Discard(2); err != nil {
-			return nil, err
-		}
-		return newBinaryCodec(br, w), nil
-	case '{':
-		if accept == CodecBinary {
-			return nil, &protocolError{msg: "JSON request on a binary-only server"}
-		}
-		return newJSONCodec(br, w), nil
-	default:
+	if first[0] != binMagic {
 		return nil, &protocolError{msg: fmt.Sprintf("unrecognized protocol byte 0x%02x", first[0])}
 	}
+	pre, err := br.Peek(2)
+	if err != nil {
+		return nil, err
+	}
+	if pre[1] != binVersion {
+		return nil, &protocolError{msg: fmt.Sprintf("binary preamble version %d, want %d", pre[1], binVersion)}
+	}
+	if _, err := br.Discard(2); err != nil {
+		return nil, err
+	}
+	return newBinaryCodec(br, w), nil
 }
 
 // deltaTracker is the server side of delta-encoded gathers: it remembers

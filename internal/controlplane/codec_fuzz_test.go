@@ -16,14 +16,14 @@ import (
 func fuzzSeedFrames(t interface{ Fatal(...any) }) [][]byte {
 	var seeds [][]byte
 	for _, req := range codecRequestFixtures() {
-		c, buf := codecPair(CodecBinary)
+		c, buf := codecPair()
 		if err := c.WriteRequest(&req); err != nil {
 			t.Fatal(err)
 		}
 		seeds = append(seeds, append([]byte(nil), buf.Bytes()...))
 	}
 	for _, resp := range codecResponseFixtures() {
-		c, buf := codecPair(CodecBinary)
+		c, buf := codecPair()
 		if err := c.WriteResponse(&resp); err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func FuzzBinaryCodecDecode(f *testing.F) {
 		var req wireRequest
 		reqCodec := newBinaryCodec(bufio.NewReader(bytes.NewReader(data)), &bytes.Buffer{})
 		if err := reqCodec.ReadRequest(&req); err == nil {
-			rt, buf := codecPair(CodecBinary)
+			rt, buf := codecPair()
 			if err := rt.WriteRequest(&req); err != nil {
 				t.Fatalf("decoded request failed to re-encode: %+v: %v", req, err)
 			}
@@ -79,7 +79,7 @@ func FuzzBinaryCodecDecode(f *testing.F) {
 			if err := rt.ReadRequest(&again); err != nil {
 				t.Fatalf("re-encoded request failed to decode: %v", err)
 			}
-			rt2, buf2 := codecPair(CodecBinary)
+			rt2, buf2 := codecPair()
 			if err := rt2.WriteRequest(&again); err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func FuzzBinaryCodecDecode(f *testing.F) {
 		var resp wireResponse
 		respCodec := newBinaryCodec(bufio.NewReader(bytes.NewReader(data)), &bytes.Buffer{})
 		if err := respCodec.ReadResponse(&resp); err == nil {
-			rt, buf := codecPair(CodecBinary)
+			rt, buf := codecPair()
 			if err := rt.WriteResponse(&resp); err != nil {
 				t.Fatalf("decoded response failed to re-encode: %+v: %v", resp, err)
 			}
@@ -100,7 +100,7 @@ func FuzzBinaryCodecDecode(f *testing.F) {
 			if err := rt.ReadResponse(&again); err != nil {
 				t.Fatalf("re-encoded response failed to decode: %v", err)
 			}
-			rt2, buf2 := codecPair(CodecBinary)
+			rt2, buf2 := codecPair()
 			if err := rt2.WriteResponse(&again); err != nil {
 				t.Fatal(err)
 			}

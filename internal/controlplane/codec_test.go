@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -16,8 +17,9 @@ import (
 	"capmaestro/internal/power"
 )
 
-// codecFixtures returns one of every request and response shape the wire
-// protocol carries, so cross-tests cover the full surface.
+// codecRequestFixtures and codecResponseFixtures return one of every
+// request and response shape the wire protocol carries, so round-trip
+// tests cover the full surface.
 func codecRequestFixtures() map[string]wireRequest {
 	return map[string]wireRequest{
 		"ping":           {Op: opPing},
@@ -111,15 +113,12 @@ func codecResponseFixtures() map[string]wireResponse {
 	}
 }
 
-// codecPair builds a connected codec of the given name over an in-memory
-// buffer: what one side writes, the same side reads back (both directions
-// share the frame layout, so a single buffer suffices for round-trips).
-func codecPair(name string) (codec, *bytes.Buffer) {
+// codecPair builds a codec over an in-memory buffer: what it writes, it
+// reads back (both directions share the frame layout, so a single buffer
+// suffices for round-trips).
+func codecPair() (*binaryCodec, *bytes.Buffer) {
 	buf := &bytes.Buffer{}
-	if name == CodecBinary {
-		return newBinaryCodec(bufio.NewReader(buf), buf), buf
-	}
-	return newJSONCodec(bufio.NewReader(buf), buf), buf
+	return newBinaryCodec(bufio.NewReader(buf), buf), buf
 }
 
 func requestsEquivalent(a, b wireRequest) bool {
@@ -184,8 +183,8 @@ func responsesEquivalent(a, b wireResponse) bool {
 	}
 	for i := range a.Spans {
 		sa, sb := a.Spans[i], b.Spans[i]
-		// Compare instants, not time.Time internals: codecs may decode
-		// into different (equal) wall-clock representations.
+		// Compare instants, not time.Time internals: a decoded time is
+		// the same instant without the encoder's monotonic reading.
 		if !sa.Start.Equal(sb.Start) {
 			return false
 		}
@@ -197,51 +196,133 @@ func responsesEquivalent(a, b wireResponse) bool {
 	return reflect.DeepEqual(a.Explains, b.Explains)
 }
 
-// TestCodecCrossRoundTrip round-trips every fixture through both codecs
-// and cross-checks them: the structs the binary bytes decode to must be
-// exactly the structs the JSON bytes decode to.
-func TestCodecCrossRoundTrip(t *testing.T) {
+// TestCodecRoundTrip round-trips every fixture through the codec: the
+// struct the bytes decode to must be the struct that was encoded.
+func TestCodecRoundTrip(t *testing.T) {
 	for name, req := range codecRequestFixtures() {
 		t.Run("request/"+name, func(t *testing.T) {
-			decoded := make(map[string]wireRequest, 2)
-			for _, cn := range []string{CodecJSON, CodecBinary} {
-				c, _ := codecPair(cn)
-				if err := c.WriteRequest(&req); err != nil {
-					t.Fatalf("%s encode: %v", cn, err)
-				}
-				var got wireRequest
-				if err := c.ReadRequest(&got); err != nil {
-					t.Fatalf("%s decode: %v", cn, err)
-				}
-				if !requestsEquivalent(req, got) {
-					t.Fatalf("%s round trip drifted:\n in %+v\nout %+v", cn, req, got)
-				}
-				decoded[cn] = got
+			c, _ := codecPair()
+			if err := c.WriteRequest(&req); err != nil {
+				t.Fatalf("encode: %v", err)
 			}
-			if !requestsEquivalent(decoded[CodecJSON], decoded[CodecBinary]) {
-				t.Fatalf("codecs disagree:\njson   %+v\nbinary %+v", decoded[CodecJSON], decoded[CodecBinary])
+			var got wireRequest
+			if err := c.ReadRequest(&got); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !requestsEquivalent(req, got) {
+				t.Fatalf("round trip drifted:\n in %+v\nout %+v", req, got)
 			}
 		})
 	}
 	for name, resp := range codecResponseFixtures() {
 		t.Run("response/"+name, func(t *testing.T) {
-			decoded := make(map[string]wireResponse, 2)
-			for _, cn := range []string{CodecJSON, CodecBinary} {
-				c, _ := codecPair(cn)
-				if err := c.WriteResponse(&resp); err != nil {
-					t.Fatalf("%s encode: %v", cn, err)
-				}
-				var got wireResponse
-				if err := c.ReadResponse(&got); err != nil {
-					t.Fatalf("%s decode: %v", cn, err)
-				}
-				if !responsesEquivalent(resp, got) {
-					t.Fatalf("%s round trip drifted:\n in %+v\nout %+v", cn, resp, got)
-				}
-				decoded[cn] = got
+			c, _ := codecPair()
+			if err := c.WriteResponse(&resp); err != nil {
+				t.Fatalf("encode: %v", err)
 			}
-			if !responsesEquivalent(decoded[CodecJSON], decoded[CodecBinary]) {
-				t.Fatalf("codecs disagree:\njson   %+v\nbinary %+v", decoded[CodecJSON], decoded[CodecBinary])
+			var got wireResponse
+			if err := c.ReadResponse(&got); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !responsesEquivalent(resp, got) {
+				t.Fatalf("round trip drifted:\n in %+v\nout %+v", resp, got)
+			}
+		})
+	}
+}
+
+// TestCodecReencodeStable pins that decoding loses nothing the encoder
+// wrote: for every fixture, re-encoding the decoded frame gives the first
+// encoding's bytes exactly. The equivalence checks of TestCodecRoundTrip
+// ignore span start offsets; byte equality does not.
+func TestCodecReencodeStable(t *testing.T) {
+	for name, req := range codecRequestFixtures() {
+		t.Run("request/"+name, func(t *testing.T) {
+			c, buf := codecPair()
+			if err := c.WriteRequest(&req); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			first := append([]byte(nil), buf.Bytes()...)
+			var got wireRequest
+			if err := c.ReadRequest(&got); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if err := c.WriteRequest(&got); err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			if !bytes.Equal(first, buf.Bytes()) {
+				t.Fatalf("re-encoding drifted:\n% x\n% x", first, buf.Bytes())
+			}
+		})
+	}
+	for name, resp := range codecResponseFixtures() {
+		t.Run("response/"+name, func(t *testing.T) {
+			c, buf := codecPair()
+			if err := c.WriteResponse(&resp); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			first := append([]byte(nil), buf.Bytes()...)
+			var got wireResponse
+			if err := c.ReadResponse(&got); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if err := c.WriteResponse(&got); err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			if !bytes.Equal(first, buf.Bytes()) {
+				t.Fatalf("re-encoding drifted:\n% x\n% x", first, buf.Bytes())
+			}
+		})
+	}
+}
+
+// TestServerCodecPreamble pins newServerCodec's check of a connection's
+// opening bytes. A wrong magic byte or version is a protocolError (the
+// server counts those); a stream that ends before the two preamble bytes
+// is a plain read error; a valid preamble is consumed, and the frame
+// behind it decodes.
+func TestServerCodecPreamble(t *testing.T) {
+	cases := []struct {
+		name      string
+		open      []byte
+		wantProto bool // protocolError, counted by the server
+		wantOK    bool // codec built; the ping behind the preamble decodes
+	}{
+		{"binary", []byte{binMagic, binVersion}, false, true},
+		{"json-request-line", []byte(`{"op":"gather"}` + "\n"), true, false},
+		{"http-request", []byte("GET / HTTP/1.1\r\n\r\n"), true, false},
+		{"zero-byte", []byte{0, binVersion}, true, false},
+		{"wrong-version", []byte{binMagic, binVersion + 1}, true, false},
+		{"empty", nil, false, false},
+		{"magic-only", []byte{binMagic}, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := append([]byte(nil), tc.open...)
+			if tc.wantOK {
+				body := &bytes.Buffer{}
+				if err := newBinaryCodec(bufio.NewReader(body), body).WriteRequest(&wireRequest{Op: opPing}); err != nil {
+					t.Fatal(err)
+				}
+				in = append(in, body.Bytes()...)
+			}
+			cdc, err := newServerCodec(bufio.NewReader(bytes.NewReader(in)), &bytes.Buffer{})
+			var pe *protocolError
+			if got := errors.As(err, &pe); got != tc.wantProto {
+				t.Fatalf("err %v: protocolError %t, want %t", err, got, tc.wantProto)
+			}
+			if !tc.wantOK {
+				if err == nil {
+					t.Fatalf("opening % x accepted", tc.open)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("valid preamble refused: %v", err)
+			}
+			var req wireRequest
+			if err := cdc.ReadRequest(&req); err != nil || req.Op != opPing {
+				t.Fatalf("frame behind the preamble: op %v, err %v", req.Op, err)
 			}
 		})
 	}
@@ -249,7 +330,7 @@ func TestCodecCrossRoundTrip(t *testing.T) {
 
 // TestCodecResponseFlagLattice round-trips a response carrying every
 // subset of the optional sections {batch, spans, explains, digest}
-// through both codecs: encode → decode must give the response back, and
+// through the codec: encode → decode must give the response back, and
 // re-encoding what was decoded must give the first encoding's bytes. The
 // binary reader once consumed spans and explains ahead of batch entries
 // while the writer emitted them behind, so a traced batch frame — the
@@ -277,29 +358,27 @@ func TestCodecResponseFlagLattice(t *testing.T) {
 		if mask&hasDigest != 0 {
 			resp.Digest = full["digest"].Digest
 		}
-		for _, cn := range []string{CodecJSON, CodecBinary} {
-			t.Run(fmt.Sprintf("%s/batch=%t,spans=%t,explains=%t,digest=%t", cn,
-				mask&hasBatch != 0, mask&hasSpans != 0, mask&hasExplains != 0, mask&hasDigest != 0), func(t *testing.T) {
-				c, buf := codecPair(cn)
-				if err := c.WriteResponse(&resp); err != nil {
-					t.Fatalf("encode: %v", err)
-				}
-				first := append([]byte(nil), buf.Bytes()...)
-				var got wireResponse
-				if err := c.ReadResponse(&got); err != nil {
-					t.Fatalf("decode: %v", err)
-				}
-				if !responsesEquivalent(resp, got) {
-					t.Fatalf("round trip drifted:\n in %+v\nout %+v", resp, got)
-				}
-				if err := c.WriteResponse(&got); err != nil {
-					t.Fatalf("re-encode: %v", err)
-				}
-				if !bytes.Equal(first, buf.Bytes()) {
-					t.Fatalf("re-encoding drifted:\n% x\n% x", first, buf.Bytes())
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("batch=%t,spans=%t,explains=%t,digest=%t",
+			mask&hasBatch != 0, mask&hasSpans != 0, mask&hasExplains != 0, mask&hasDigest != 0), func(t *testing.T) {
+			c, buf := codecPair()
+			if err := c.WriteResponse(&resp); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			first := append([]byte(nil), buf.Bytes()...)
+			var got wireResponse
+			if err := c.ReadResponse(&got); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !responsesEquivalent(resp, got) {
+				t.Fatalf("round trip drifted:\n in %+v\nout %+v", resp, got)
+			}
+			if err := c.WriteResponse(&got); err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			if !bytes.Equal(first, buf.Bytes()) {
+				t.Fatalf("re-encoding drifted:\n% x\n% x", first, buf.Bytes())
+			}
+		})
 	}
 }
 
@@ -308,7 +387,7 @@ func TestCodecResponseFlagLattice(t *testing.T) {
 // exactly once.
 func TestCodecSequencedFrames(t *testing.T) {
 	buf := &bytes.Buffer{}
-	cli := newClientCodec(CodecBinary, buf)
+	cli := newClientCodec(buf)
 	reqs := []wireRequest{{Op: opPing}, {Op: opGather, HaveCached: true}, {Op: opBudget, Budget: 7}}
 	for i := range reqs {
 		if err := cli.WriteRequest(&reqs[i]); err != nil {
@@ -342,7 +421,7 @@ func TestCodecSequencedFrames(t *testing.T) {
 // panic) and leave nothing decoded.
 func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 	// A valid response frame to mutate.
-	c, buf := codecPair(CodecBinary)
+	c, buf := codecPair()
 	resp := codecResponseFixtures()["traced"]
 	if err := c.WriteResponse(&resp); err != nil {
 		t.Fatal(err)
@@ -444,7 +523,7 @@ func digestScalars(w *binWriter) {
 // TestBinaryEncodeRejectsOversizedFields pins the encoder-side limits:
 // strings beyond u16 length fail loudly instead of corrupting the frame.
 func TestBinaryEncodeRejectsOversizedFields(t *testing.T) {
-	c, _ := codecPair(CodecBinary)
+	c, _ := codecPair()
 	req := wireRequest{Op: opGather, Trace: &flightrec.TraceContext{TraceID: strings.Repeat("x", 1<<17)}}
 	if err := c.WriteRequest(&req); err == nil {
 		t.Fatal("oversized trace ID encoded without error")
@@ -452,33 +531,6 @@ func TestBinaryEncodeRejectsOversizedFields(t *testing.T) {
 	resp := wireResponse{Error: strings.Repeat("e", 1<<17)}
 	if err := c.WriteResponse(&resp); err == nil {
 		t.Fatal("oversized error string encoded without error")
-	}
-}
-
-// TestJSONWireBytesUnchanged pins the JSON codec's byte stream against the
-// historical newline-delimited encoding: new protocol fields must stay
-// invisible when unset so pre-codec peers interoperate.
-func TestJSONWireBytesUnchanged(t *testing.T) {
-	c, buf := codecPair(CodecJSON)
-	if err := c.WriteRequest(&wireRequest{Op: opGather}); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "{\"op\":\"gather\"}\n" {
-		t.Fatalf("gather request bytes drifted: %q", got)
-	}
-	buf.Reset()
-	if err := c.WriteRequest(&wireRequest{Op: opBudget, Budget: 850}); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "{\"op\":\"budget\",\"budget\":850}\n" {
-		t.Fatalf("budget request bytes drifted: %q", got)
-	}
-	buf.Reset()
-	if err := c.WriteResponse(&wireResponse{OK: true}); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "{\"ok\":true}\n" {
-		t.Fatalf("ok response bytes drifted: %q", got)
 	}
 }
 

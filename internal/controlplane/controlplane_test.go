@@ -387,11 +387,9 @@ func ServeRackNilCheck() error {
 	return err
 }
 
-func TestSummaryJSONRoundTrip(t *testing.T) {
-	s := core.NewSummary()
-	s.SetCapMin(0, 270)
-	s.SetLevel(3, 540, 900, 880)
-	s.Constraint = 1200
+// TestSummaryWireRoundTrip gathers over TCP from a rack whose only server
+// sits at priority 3: its metrics must survive the wire at that level.
+func TestSummaryWireRoundTrip(t *testing.T) {
 	w, err := NewRackWorker("r", core.NewShifting("r", 0, leaf("a", "A", 3, 450)),
 		core.GlobalPriority, nil)
 	if err != nil {
@@ -408,7 +406,6 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Priority 3 metrics survive the integer-keyed map JSON round trip.
 	if got.CapMin(3) != 270 || got.Request(3) != 450 || got.Constraint != 490 {
 		t.Errorf("round-tripped summary = %+v", got)
 	}

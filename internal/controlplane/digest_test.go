@@ -149,110 +149,103 @@ func TestFleetDigestThreeLevelWattExact(t *testing.T) {
 // TestTCPDigestBothCodecs proves the digest actually crosses the wire
 // (rather than being synthesized client-side): an aggregator served over
 // TCP contributes its level row, which only exists inside the digest
-// payload. Runs under both codecs; with digests not requested, the level
-// row must vanish and the aggregator collapses to one synthesized rack.
-func TestTCPDigestBothCodecs(t *testing.T) {
-	for _, codecName := range []string{CodecJSON, CodecBinary} {
-		t.Run(codecName, func(t *testing.T) {
-			var aggProxies []*core.Node
-			childMap := make(map[string]RackClient, 2)
-			var wantPower float64
-			for r := 0; r < 2; r++ {
-				w, err := NewRackWorker(fmt.Sprintf("hr%02d", r), hierRackTree(r), core.GlobalPriority, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				childMap[w.ID()] = LocalClient{Worker: w}
-				aggProxies = append(aggProxies, core.NewProxy(w.ID(), core.NewSummary()))
-				for s := 0; s < 3; s++ {
-					wantPower += float64(350 + (r*37+s*113)%130)
-				}
-			}
-			agg, err := NewAggregator(core.NewShifting("agg0", 0, aggProxies...),
-				core.GlobalPriority, childMap, WithHierarchyLevel(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg := telemetry.NewRegistry()
-			srv, err := ServeRacks(map[string]RackClient{"agg0": agg}, "127.0.0.1:0",
-				WithTelemetry(reg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
+// payload. With digests not requested, the level row must vanish and the
+// aggregator collapses to one synthesized rack.
+func TestTCPDigest(t *testing.T) {
+	var aggProxies []*core.Node
+	childMap := make(map[string]RackClient, 2)
+	var wantPower float64
+	for r := 0; r < 2; r++ {
+		w, err := NewRackWorker(fmt.Sprintf("hr%02d", r), hierRackTree(r), core.GlobalPriority, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		childMap[w.ID()] = LocalClient{Worker: w}
+		aggProxies = append(aggProxies, core.NewProxy(w.ID(), core.NewSummary()))
+		for s := 0; s < 3; s++ {
+			wantPower += float64(350 + (r*37+s*113)%130)
+		}
+	}
+	agg, err := NewAggregator(core.NewShifting("agg0", 0, aggProxies...),
+		core.GlobalPriority, childMap, WithHierarchyLevel(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	srv, err := ServeRacks(map[string]RackClient{"agg0": agg}, "127.0.0.1:0",
+		WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
 
-			mkRoom := func(client RackClient) *RoomWorker {
-				room, err := NewRoomWorker(
-					core.NewShifting("room", 0, core.NewProxy("agg0", core.NewSummary())),
-					2500, core.GlobalPriority, map[string]RackClient{"agg0": client})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return room
-			}
+	mkRoom := func(client RackClient) *RoomWorker {
+		room, err := NewRoomWorker(
+			core.NewShifting("room", 0, core.NewProxy("agg0", core.NewSummary())),
+			2500, core.GlobalPriority, map[string]RackClient{"agg0": client})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return room
+	}
 
-			// Digests requested: the aggregator's digest rides the gather
-			// response, level row and per-rack resolution intact.
-			on := DialRack(srv.Addr(), 2*time.Second, WithWireCodec(codecName),
-				WithDigests(true), WithTelemetry(reg))
-			t.Cleanup(func() { on.Close() })
-			room := mkRoom(on)
-			for i := 0; i < 2; i++ {
-				if _, _, err := room.RunPeriod(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rep, ok := room.FleetReport()
-			if !ok {
-				t.Fatal("no fleet report")
-			}
-			if rep.Summary.Racks != 2 || rep.Summary.PowerWatts != wantPower {
-				t.Fatalf("digest over %s: %+v, want 2 racks / %v W", codecName, rep.Summary, wantPower)
-			}
-			foundAggRow := false
-			for _, l := range rep.Fleet.Levels {
-				if l.Level == 1 && l.Workers == 2 {
-					foundAggRow = true
-				}
-			}
-			if !foundAggRow {
-				t.Fatalf("aggregator level row did not cross the wire: %+v", rep.Fleet.Levels)
-			}
-			if codecName == CodecBinary {
-				wire := reg.CounterVec("capmaestro_fleet_digest_wire_bytes_total", "", "role")
-				if wire.With("server").Value() == 0 || wire.With("client").Value() == 0 {
-					t.Fatalf("digest wire bytes not counted: server=%v client=%v",
-						wire.With("server").Value(), wire.With("client").Value())
-				}
-			}
+	// Digests requested: the aggregator's digest rides the gather
+	// response, level row and per-rack resolution intact.
+	on := DialRack(srv.Addr(), 2*time.Second, WithDigests(true), WithTelemetry(reg))
+	t.Cleanup(func() { on.Close() })
+	room := mkRoom(on)
+	for i := 0; i < 2; i++ {
+		if _, _, err := room.RunPeriod(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, ok := room.FleetReport()
+	if !ok {
+		t.Fatal("no fleet report")
+	}
+	if rep.Summary.Racks != 2 || rep.Summary.PowerWatts != wantPower {
+		t.Fatalf("digest over TCP: %+v, want 2 racks / %v W", rep.Summary, wantPower)
+	}
+	foundAggRow := false
+	for _, l := range rep.Fleet.Levels {
+		if l.Level == 1 && l.Workers == 2 {
+			foundAggRow = true
+		}
+	}
+	if !foundAggRow {
+		t.Fatalf("aggregator level row did not cross the wire: %+v", rep.Fleet.Levels)
+	}
+	wire := reg.CounterVec("capmaestro_fleet_digest_wire_bytes_total", "", "role")
+	if wire.With("server").Value() == 0 || wire.With("client").Value() == 0 {
+		t.Fatalf("digest wire bytes not counted: server=%v client=%v",
+			wire.With("server").Value(), wire.With("client").Value())
+	}
 
-			// Digests not requested: the transport must not ask for them,
-			// and the room synthesizes the aggregator as a single rack with
-			// no level-1 row.
-			off := DialRack(srv.Addr(), 2*time.Second, WithWireCodec(codecName))
-			t.Cleanup(func() { off.Close() })
-			roomOff := mkRoom(off)
-			for i := 0; i < 2; i++ {
-				if _, _, err := roomOff.RunPeriod(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			repOff, ok := roomOff.FleetReport()
-			if !ok {
-				t.Fatal("no synthesized fleet report")
-			}
-			if repOff.Summary.Racks != 1 {
-				t.Fatalf("digest-less transport still resolved racks: %+v", repOff.Summary)
-			}
-			if repOff.Summary.PowerWatts != wantPower {
-				t.Fatalf("synthesized power = %v, want %v", repOff.Summary.PowerWatts, wantPower)
-			}
-			// Only the room's own row remains, covering its one client —
-			// the aggregator's two-worker row never crossed.
-			if len(repOff.Fleet.Levels) != 1 || repOff.Fleet.Levels[0].Workers != 1 {
-				t.Fatalf("levels appeared without digests on the wire: %+v", repOff.Fleet.Levels)
-			}
-		})
+	// Digests not requested: the transport must not ask for them,
+	// and the room synthesizes the aggregator as a single rack with
+	// no level-1 row.
+	off := DialRack(srv.Addr(), 2*time.Second)
+	t.Cleanup(func() { off.Close() })
+	roomOff := mkRoom(off)
+	for i := 0; i < 2; i++ {
+		if _, _, err := roomOff.RunPeriod(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repOff, ok := roomOff.FleetReport()
+	if !ok {
+		t.Fatal("no synthesized fleet report")
+	}
+	if repOff.Summary.Racks != 1 {
+		t.Fatalf("digest-less transport still resolved racks: %+v", repOff.Summary)
+	}
+	if repOff.Summary.PowerWatts != wantPower {
+		t.Fatalf("synthesized power = %v, want %v", repOff.Summary.PowerWatts, wantPower)
+	}
+	// Only the room's own row remains, covering its one client —
+	// the aggregator's two-worker row never crossed.
+	if len(repOff.Fleet.Levels) != 1 || repOff.Fleet.Levels[0].Workers != 1 {
+		t.Fatalf("levels appeared without digests on the wire: %+v", repOff.Fleet.Levels)
 	}
 }
 
@@ -270,8 +263,7 @@ func TestDigestDeltaSquash(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	c := DialRack(srv.Addr(), 2*time.Second, WithWireCodec(CodecBinary),
-		WithDigests(true), WithTelemetry(reg))
+	c := DialRack(srv.Addr(), 2*time.Second, WithDigests(true), WithTelemetry(reg))
 	t.Cleanup(func() { c.Close() })
 
 	ctx := context.Background()
@@ -324,7 +316,7 @@ func TestDigestZeroExtraRPCs(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		opts := []Option{WithWireCodec(CodecBinary), WithTelemetry(reg)}
+		opts := []Option{WithTelemetry(reg)}
 		if digests {
 			opts = append(opts, WithDigests(true))
 		}

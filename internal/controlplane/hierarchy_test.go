@@ -174,17 +174,9 @@ func TestHierarchyMatchesMonolithic(t *testing.T) {
 // proxy in front of each rack endpoint and FaultyClients between room and
 // aggregators — then clears the faults and asserts the hierarchy settles
 // to exactly the monolithic allocation, with the fleet observability
-// digest rollup watt-for-watt equal to the racks' total demand. Runs once
-// per wire codec, digests enabled end to end. Raced in CI.
+// digest rollup watt-for-watt equal to the racks' total demand. Digests
+// are enabled end to end. Raced in CI.
 func TestThreeLevelHierarchyChaos(t *testing.T) {
-	for _, codecName := range []string{CodecJSON, CodecBinary} {
-		t.Run(codecName, func(t *testing.T) {
-			testThreeLevelHierarchyChaos(t, codecName)
-		})
-	}
-}
-
-func testThreeLevelHierarchyChaos(t *testing.T, codecName string) {
 	seed := chaosSeed(t)
 	const (
 		racks      = 4
@@ -237,7 +229,7 @@ func testThreeLevelHierarchyChaos(t *testing.T, codecName string) {
 		t.Cleanup(func() { srv.Close() })
 		proxy := newDroppingProxy(t, srv.Addr(), 5)
 		proxies = append(proxies, proxy)
-		tc := DialRack(proxy.addr(), 2*time.Second, WithWireCodec(codecName),
+		tc := DialRack(proxy.addr(), 2*time.Second,
 			WithDigests(true), WithRPCRetry(3, 2*time.Millisecond))
 		t.Cleanup(func() { tc.Close() })
 		for r := base; r < base+fanOut; r++ {
@@ -384,7 +376,7 @@ func TestHierarchyFlightRecorderOverBatchedBinary(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { srv.Close() })
-				c := DialRack(srv.Addr(), 2*time.Second, WithWireCodec(CodecBinary))
+				c := DialRack(srv.Addr(), 2*time.Second)
 				t.Cleanup(func() { c.Close() })
 				for id := range serve {
 					clients[id] = c.Rack(id)

@@ -132,24 +132,22 @@ func WithRPCRetry(retries int, backoff time.Duration) Option {
 	}
 }
 
-// WithWireCodec selects the rack transport's wire codec. On DialRack it
-// picks what the client speaks: CodecJSON (the default), CodecBinary, or
-// CodecAuto to defer to the CAPMAESTRO_WIRE_CODEC environment variable
-// (falling back to JSON). On ServeRack it restricts which codecs the
-// server admits; the default (CodecAuto) detects each connection's codec
-// from its first byte and accepts both.
+// WithWireCodec names the rack transport's wire codec. Binary is the only
+// codec, so CodecBinary (or "") is the only accepted name: ServeRack and
+// ServeRacks return an error for any other, and a client dialed with one
+// fails its first dial.
 func WithWireCodec(name string) Option {
 	return func(o *options) { o.wireCodec = name }
 }
 
 // WithDeltaDeadband configures delta-encoded gather responses on a rack
-// server using the binary codec: while every metric of a fresh summary
+// server: while every metric of a fresh summary
 // stays within d watts of the last full summary sent on the connection,
 // the response is squashed to a few-byte "unchanged" frame. The default
 // (0) squashes only exact matches; a negative d disables delta responses
 // entirely. Full-summary resync is forced on every reconnect (retries
 // re-dial) and on any deadband breach, so the room's view drifts at most
-// d watts per metric. The JSON codec never squashes.
+// d watts per metric.
 func WithDeltaDeadband(d power.Watts) Option {
 	return func(o *options) { o.deltaDeadband = d }
 }
@@ -295,10 +293,10 @@ func newRackMetrics(reg *telemetry.Registry, rackID string) rackMetrics {
 // range, and anything past 2 s indicates a timeout in a default client.
 var rpcBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2}
 
-// codecBuckets size the per-codec encode/decode histograms: binary
-// frames land in the sub-microsecond buckets, JSON marshaling in the
-// microsecond range; anything near a millisecond means the codec has
-// become the hot path again.
+// codecBuckets size the codec's encode/decode histograms: frames land in
+// the sub-microsecond buckets, large batch frames in the microsecond
+// range; anything near a millisecond means the codec has become the hot
+// path again.
 var codecBuckets = []float64{5e-8, 1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 2.5e-4, 1e-3}
 
 // rpcMetrics instruments one side (server or client) of the rack
@@ -307,8 +305,8 @@ type rpcMetrics struct {
 	enabled        bool
 	seconds        map[string]*telemetry.Histogram
 	errors         map[string]*telemetry.Counter
-	codecEnc       map[string]*telemetry.Histogram // by codec name
-	codecDec       map[string]*telemetry.Histogram
+	codecEnc       *telemetry.Histogram
+	codecDec       *telemetry.Histogram
 	retries        *telemetry.Counter
 	bytesIn        *telemetry.Counter
 	bytesOut       *telemetry.Counter
@@ -334,8 +332,8 @@ func newRPCMetrics(reg *telemetry.Registry, role string) rpcMetrics {
 		enabled:  reg != nil,
 		seconds:  make(map[string]*telemetry.Histogram, 3),
 		errors:   make(map[string]*telemetry.Counter, 3),
-		codecEnc: make(map[string]*telemetry.Histogram, 2),
-		codecDec: make(map[string]*telemetry.Histogram, 2),
+		codecEnc: codecSeconds.With(role, CodecBinary, "encode"),
+		codecDec: codecSeconds.With(role, CodecBinary, "decode"),
 		retries: reg.CounterVec("capmaestro_rpc_retries_total",
 			"Rack RPC attempts retried after a transport failure.", "role").With(role),
 		bytesIn:  bytes.With(role, "in"),
@@ -361,17 +359,7 @@ func newRPCMetrics(reg *telemetry.Registry, role string) rpcMetrics {
 		m.seconds[op] = seconds.With(role, op)
 		m.errors[op] = errs.With(role, op)
 	}
-	for _, c := range []string{CodecJSON, CodecBinary} {
-		m.codecEnc[c] = codecSeconds.With(role, c, "encode")
-		m.codecDec[c] = codecSeconds.With(role, c, "decode")
-	}
 	return m
-}
-
-// codecHists returns the encode/decode histograms for a codec, resolved
-// once per connection so the hot path avoids map lookups.
-func (m *rpcMetrics) codecHists(codecName string) (enc, dec *telemetry.Histogram) {
-	return m.codecEnc[codecName], m.codecDec[codecName]
 }
 
 // noteBatch records one batch frame multiplexing racks rack slots.

@@ -19,9 +19,8 @@ import (
 // Nth request on each connection: it reads one whole request, discards it,
 // and closes the connection. The client sees a transport failure mid-RPC
 // and must retry over a fresh connection — exactly the reconnect path
-// WithRPCRetry exists for. The proxy is codec-aware: it frames JSON
-// requests by newline and binary requests by their length prefix (after
-// forwarding the connection preamble), so it can chaos both protocols.
+// WithRPCRetry exists for. The proxy frames requests by their length
+// prefix, after forwarding the connection preamble.
 type droppingProxy struct {
 	ln      net.Listener
 	backend string
@@ -70,24 +69,16 @@ func (p *droppingProxy) serve(client net.Conn) {
 	defer server.Close()
 	go io.Copy(client, server) // responses flow back untouched
 	br := bufio.NewReader(client)
-	first, err := br.Peek(1)
-	if err != nil {
+	// Forward the two-byte preamble for the backend to check.
+	pre := make([]byte, 2)
+	if _, err := io.ReadFull(br, pre); err != nil {
 		return
 	}
-	isBinary := first[0] == binMagic
-	if isBinary {
-		// Forward the two-byte preamble so the backend can detect the
-		// codec itself.
-		pre := make([]byte, 2)
-		if _, err := io.ReadFull(br, pre); err != nil {
-			return
-		}
-		if _, err := server.Write(pre); err != nil {
-			return
-		}
+	if _, err := server.Write(pre); err != nil {
+		return
 	}
 	for n := 1; ; n++ {
-		frame, err := readRequestFrame(br, isBinary)
+		frame, err := readRequestFrame(br)
 		if err != nil {
 			return
 		}
@@ -105,13 +96,9 @@ func (p *droppingProxy) serve(client net.Conn) {
 	}
 }
 
-// readRequestFrame reads exactly one request off the client connection:
-// one newline-terminated JSON line, or one length-prefixed binary frame
-// (header included).
-func readRequestFrame(br *bufio.Reader, isBinary bool) ([]byte, error) {
-	if !isBinary {
-		return br.ReadBytes('\n')
-	}
+// readRequestFrame reads exactly one length-prefixed request frame off
+// the client connection, header included.
+func readRequestFrame(br *bufio.Reader) ([]byte, error) {
 	hdr := make([]byte, 4)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, err

@@ -19,10 +19,9 @@ import (
 // The wire protocol carries only metric summaries and budgets — a few
 // hundred bytes per rack per control period — matching the paper's
 // observation that worker communication is "on the order of milliseconds".
-// Two codecs speak it (see codec.go): the historical newline-delimited
-// JSON protocol, and a length-prefixed binary protocol that is
-// allocation-free steady-state and supports delta-encoded gather
-// responses. Servers detect the codec per connection from its first byte.
+// One codec speaks it (see codec.go): a length-prefixed binary protocol
+// that is allocation-free steady-state and supports delta-encoded gather
+// responses. Servers check each connection's preamble before decoding.
 
 // request ops.
 const (
@@ -35,8 +34,8 @@ const (
 
 // BatchBudget names one rack's budget inside a batched budget push.
 type BatchBudget struct {
-	Rack   string      `json:"rack"`
-	Budget power.Watts `json:"budget"`
+	Rack   string
+	Budget power.Watts
 }
 
 // GatherResult is one rack's outcome inside a batched gather.
@@ -49,62 +48,59 @@ type GatherResult struct {
 }
 
 type wireRequest struct {
-	Op     string      `json:"op"`
-	Budget power.Watts `json:"budget,omitempty"`
+	Op     string
+	Budget power.Watts
 	// Rack routes a single op to one rack on a multi-rack server (see
-	// ServeRacks). Empty selects the server's default worker, which keeps
-	// the single-worker byte stream identical to the historical protocol.
-	Rack string `json:"rack,omitempty"`
+	// ServeRacks). Empty selects the server's default worker.
+	Rack string
 	// BatchRacks (op batch-gather) and BatchBudgets (op batch-budget)
 	// multiplex one round trip over many racks of a multi-rack server.
 	// Response entries come back in request order.
-	BatchRacks   []string      `json:"batch_racks,omitempty"`
-	BatchBudgets []BatchBudget `json:"batch_budgets,omitempty"`
+	BatchRacks   []string
+	BatchBudgets []BatchBudget
 	// Trace carries the caller's per-period trace context so the rack's
 	// spans nest under the room's period root. Absent when tracing is off.
-	Trace *flightrec.TraceContext `json:"trace,omitempty"`
+	Trace *flightrec.TraceContext
 	// HaveCached marks a gather from a client that still holds the full
 	// summaries this connection delivered, making racks eligible for an
-	// Unchanged response. Only the binary codec sets it, so the JSON byte
-	// stream is unchanged.
-	HaveCached bool `json:"have_cached,omitempty"`
+	// Unchanged response.
+	HaveCached bool
 	// WantDigest asks gathers to piggyback a fleet observability digest
-	// on the response. Only digest-enabled clients set it, so both codecs'
-	// byte streams are unchanged for everyone else.
-	WantDigest bool `json:"want_digest,omitempty"`
+	// on the response. Only digest-enabled clients set it.
+	WantDigest bool
 }
 
 // wireBatchEntry is one rack's slot in a batched response, in request
 // order.
 type wireBatchEntry struct {
-	Rack    string        `json:"rack"`
-	OK      bool          `json:"ok"`
-	Error   string        `json:"error,omitempty"`
-	Summary *core.Summary `json:"summary,omitempty"`
+	Rack    string
+	OK      bool
+	Error   string
+	Summary *core.Summary
 	// Digest piggybacks the rack's fleet digest on a want-digest gather.
-	Digest *fleetobs.StatDigest `json:"digest,omitempty"`
+	Digest *fleetobs.StatDigest
 	// Unchanged marks a batched gather entry squashed by the server's
 	// delta tracker; the client substitutes its cached copy for the rack.
-	Unchanged bool `json:"unchanged,omitempty"`
+	Unchanged bool
 }
 
 type wireResponse struct {
-	OK      bool          `json:"ok"`
-	Error   string        `json:"error,omitempty"`
-	Summary *core.Summary `json:"summary,omitempty"`
+	OK      bool
+	Error   string
+	Summary *core.Summary
 	// Digest piggybacks the responding worker's fleet digest on a
 	// want-digest gather, adding zero extra RPCs to the period.
-	Digest *fleetobs.StatDigest `json:"digest,omitempty"`
+	Digest *fleetobs.StatDigest
 	// Unchanged marks a gather response whose summary stayed within the
 	// server's deadband of the last full summary sent on this connection;
-	// the client substitutes its cached copy. Binary codec only.
-	Unchanged bool `json:"unchanged,omitempty"`
+	// the client substitutes its cached copy.
+	Unchanged bool
 	// Batch carries per-rack outcomes of a batch op, in request order.
-	Batch []wireBatchEntry `json:"batch,omitempty"`
+	Batch []wireBatchEntry
 	// Spans and Explains ship the rack-side trace back to the caller;
 	// populated only when the request carried a trace context.
-	Spans    []flightrec.Span   `json:"spans,omitempty"`
-	Explains []core.NodeExplain `json:"explains,omitempty"`
+	Spans    []flightrec.Span
+	Explains []core.NodeExplain
 }
 
 // RackServer exposes one or more rack-facing workers over TCP. A server
@@ -117,7 +113,6 @@ type RackServer struct {
 	def      RackClient // target of un-routed single ops; nil if ambiguous
 	listener net.Listener
 	met      rpcMetrics
-	accept   string      // codec restriction: CodecAuto admits both
 	deadband power.Watts // delta deadband; < 0 disables delta responses
 
 	mu     sync.Mutex
@@ -163,21 +158,19 @@ func ServeRacks(workers map[string]RackClient, addr string, opts ...Option) (*Ra
 }
 
 func serveWorkers(workers map[string]RackClient, def RackClient, addr string, opts []Option) (*RackServer, error) {
+	o := buildOptions(opts)
+	if err := checkWireCodec(o.wireCodec); err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: listen: %w", err)
-	}
-	o := buildOptions(opts)
-	accept := o.wireCodec
-	if accept != CodecJSON && accept != CodecBinary {
-		accept = CodecAuto
 	}
 	s := &RackServer{
 		workers:  workers,
 		def:      def,
 		listener: ln,
 		met:      newRPCMetrics(o.reg, "server"),
-		accept:   accept,
 		deadband: o.deltaDeadband,
 		conns:    make(map[net.Conn]struct{}),
 	}
@@ -233,8 +226,7 @@ func (s *RackServer) serveConn(conn net.Conn) {
 		s.met.openConns.Dec()
 	}()
 	counted := countConn(conn, s.met.bytesIn, s.met.bytesOut)
-	br := bufio.NewReader(counted)
-	cdc, err := detectServerCodec(br, counted, s.accept)
+	cdc, err := newServerCodec(bufio.NewReader(counted), counted)
 	if err != nil {
 		var pe *protocolError
 		if errors.As(err, &pe) {
@@ -242,14 +234,9 @@ func (s *RackServer) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	encHist, decHist := s.met.codecHists(cdc.Name())
-	if bc, ok := cdc.(*binaryCodec); ok {
-		bc.digBytes = s.met.digestBytes
-	}
-	// Delta squashing rides on the binary codec only: the JSON stream
-	// stays byte-compatible with pre-codec servers.
+	cdc.digBytes = s.met.digestBytes
 	var delta *deltaTracker
-	if cdc.Name() == CodecBinary && s.deadband >= 0 {
+	if s.deadband >= 0 {
 		delta = &deltaTracker{deadband: s.deadband}
 	}
 	var req wireRequest
@@ -263,7 +250,7 @@ func (s *RackServer) serveConn(conn net.Conn) {
 			return // connection closed or garbage
 		}
 		if s.met.enabled {
-			decHist.ObserveSince(t0)
+			s.met.codecDec.ObserveSince(t0)
 		}
 		start := time.Now()
 		resp := s.handle(req, batchScratch[:0])
@@ -284,7 +271,7 @@ func (s *RackServer) serveConn(conn net.Conn) {
 			return
 		}
 		if s.met.enabled {
-			encHist.ObserveSince(t0)
+			s.met.codecEnc.ObserveSince(t0)
 		}
 	}
 }
@@ -449,11 +436,13 @@ func (e *protocolError) Error() string { return "controlplane: protocol error: "
 // — the in-flight decode then fails fast with ErrClientClosed instead of
 // waiting out the attempt timeout.
 type TCPClient struct {
-	addr      string
-	timeout   time.Duration
-	retries   int
-	backoff   time.Duration
-	codecName string
+	addr    string
+	timeout time.Duration
+	retries int
+	backoff time.Duration
+	// codecErr is set when WithWireCodec named something other than
+	// CodecBinary; every dial then fails with it.
+	codecErr error
 	// wantDigest asks every gather on this client to piggyback a fleet
 	// digest. Off by default so existing deployments' byte streams (and
 	// pinned wire-shape tests) are untouched; WithDigests(true) enables it.
@@ -469,12 +458,10 @@ type TCPClient struct {
 	pushMu sync.Mutex
 	pushC  *TCPClient
 
-	mu      sync.Mutex // guards everything below
-	closed  bool
-	conn    net.Conn
-	cdc     codec
-	encHist *telemetry.Histogram
-	decHist *telemetry.Histogram
+	mu     sync.Mutex // guards everything below
+	closed bool
+	conn   net.Conn
+	cdc    *binaryCodec
 	// cached holds the last full summary decoded on the live connection
 	// per rack ("" for un-routed gathers). Entries are replaced wholesale
 	// (never mutated), so summaries handed out stay valid after eviction.
@@ -488,8 +475,7 @@ type TCPClient struct {
 // DialRack creates a client for the rack server at addr. timeout bounds
 // each request attempt; zero selects 2 s (comfortably inside the paper's
 // 8 s control period). Retry behavior follows WithRPCRetry (default: 2
-// retries starting at 25 ms backoff); the wire codec follows WithWireCodec
-// (default: the CAPMAESTRO_WIRE_CODEC environment variable, then JSON).
+// retries starting at 25 ms backoff). The client speaks the binary codec.
 func DialRack(addr string, timeout time.Duration, opts ...Option) *TCPClient {
 	if timeout == 0 {
 		timeout = 2 * time.Second
@@ -500,14 +486,11 @@ func DialRack(addr string, timeout time.Duration, opts ...Option) *TCPClient {
 		timeout:    timeout,
 		retries:    o.rpcRetries,
 		backoff:    o.rpcRetryBackoff,
-		codecName:  resolveClientCodec(o.wireCodec),
+		codecErr:   checkWireCodec(o.wireCodec),
 		wantDigest: o.digests != nil && *o.digests,
 		met:        newRPCMetrics(o.reg, "client"),
 	}
 }
-
-// Codec returns the wire codec this client dials with.
-func (c *TCPClient) Codec() string { return c.codecName }
 
 // Close tears down the connection and marks the client terminally closed:
 // subsequent requests fail with ErrClientClosed instead of re-dialing, and
@@ -549,7 +532,7 @@ func (c *TCPClient) pushChannel() (*TCPClient, error) {
 	if c.pushC == nil {
 		c.pushC = &TCPClient{
 			addr: c.addr, timeout: c.timeout, retries: c.retries,
-			backoff: c.backoff, codecName: c.codecName,
+			backoff: c.backoff, codecErr: c.codecErr,
 			wantDigest: c.wantDigest, met: c.met,
 		}
 	}
@@ -571,7 +554,10 @@ func (c *TCPClient) dropConnLocked() {
 
 // connFor returns the live connection and codec, dialing outside the lock
 // so Close never waits on a slow dial.
-func (c *TCPClient) connFor() (net.Conn, codec, error) {
+func (c *TCPClient) connFor() (net.Conn, *binaryCodec, error) {
+	if c.codecErr != nil {
+		return nil, nil, c.codecErr
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -588,11 +574,8 @@ func (c *TCPClient) connFor() (net.Conn, codec, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	counted := countConn(conn, c.met.bytesIn, c.met.bytesOut)
-	cdc := newClientCodec(c.codecName, counted)
-	if bc, ok := cdc.(*binaryCodec); ok {
-		bc.digBytes = c.met.digestBytes
-	}
+	cdc := newClientCodec(countConn(conn, c.met.bytesIn, c.met.bytesOut))
+	cdc.digBytes = c.met.digestBytes
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -604,7 +587,6 @@ func (c *TCPClient) connFor() (net.Conn, codec, error) {
 	c.conn, c.cdc = conn, cdc
 	c.cached = nil
 	c.cachedDig = nil
-	c.encHist, c.decHist = c.met.codecHists(cdc.Name())
 	c.met.openConns.Inc()
 	return conn, cdc, nil
 }
@@ -674,7 +656,7 @@ func (c *TCPClient) attempt(ctx context.Context, req wireRequest) (wireResponse,
 		deadline = d
 	}
 	conn.SetDeadline(deadline)
-	if (req.Op == opGather || req.Op == opBatchGather) && cdc.Name() == CodecBinary {
+	if req.Op == opGather || req.Op == opBatchGather {
 		c.mu.Lock()
 		req.HaveCached = len(c.cached) > 0 && c.conn == conn
 		c.mu.Unlock()
@@ -687,7 +669,7 @@ func (c *TCPClient) attempt(ctx context.Context, req wireRequest) (wireResponse,
 		return wireResponse{}, c.fault(conn, err)
 	}
 	if c.met.enabled {
-		c.encHist.ObserveSince(t0)
+		c.met.codecEnc.ObserveSince(t0)
 		t0 = time.Now()
 	}
 	var resp wireResponse
@@ -695,7 +677,7 @@ func (c *TCPClient) attempt(ctx context.Context, req wireRequest) (wireResponse,
 		return wireResponse{}, c.fault(conn, err)
 	}
 	if c.met.enabled {
-		c.decHist.ObserveSince(t0)
+		c.met.codecDec.ObserveSince(t0)
 	}
 	if resp.OK {
 		switch req.Op {
@@ -827,7 +809,7 @@ func (c *TCPClient) finishBatchGather(conn net.Conn, racks []string, resp *wireR
 // delta stream on the way), closed clients, dead contexts, and
 // application-level rejections are not.
 func retryable(err error) bool {
-	if errors.Is(err, ErrClientClosed) ||
+	if errors.Is(err, ErrClientClosed) || errors.Is(err, errWireCodec) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}

@@ -16,32 +16,30 @@ import (
 // through the production codecs and delta tracker, over in-memory pipes
 // so codec work dominates rather than kernel socket overhead. One op is a
 // full gather sweep across `racks` connections; the wireB/rpc metric is
-// total bytes on the wire divided by individual RPCs, the number
-// BENCH_transport.json records.
+// total bytes on the wire divided by individual RPCs. End-to-end wire
+// counts per control period come from `go run ./benchmark --trace 1`.
 //
 //	go test ./internal/controlplane -run '^$' -bench BenchmarkTransport -benchtime 1000x
 func BenchmarkTransport(b *testing.B) {
 	for _, racks := range []int{1, 64, 1024} {
 		for _, cfg := range []struct {
 			name  string
-			codec string
 			delta bool
 		}{
-			{"json", CodecJSON, false},
-			{"binary", CodecBinary, false},
-			{"binary-delta", CodecBinary, true},
+			{"binary", false},
+			{"binary-delta", true},
 		} {
 			b.Run(fmt.Sprintf("%s/racks=%d", cfg.name, racks), func(b *testing.B) {
-				benchTransport(b, cfg.codec, cfg.delta, racks)
+				benchTransport(b, cfg.delta, racks)
 			})
 		}
 	}
 }
 
-func benchTransport(b *testing.B, codecName string, delta bool, racks int) {
+func benchTransport(b *testing.B, delta bool, racks int) {
 	conns := make([]*benchConn, racks)
 	for i := range conns {
-		conns[i] = newBenchConn(b, codecName, delta)
+		conns[i] = newBenchConn(b, delta)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -80,13 +78,13 @@ type splitRW struct {
 }
 
 // benchConn is one simulated rack connection: the client codec end, the
-// server codec end (negotiated via detectServerCodec exactly as
+// server codec end (preamble checked by newServerCodec exactly as
 // serveConn does), the server's delta tracker, and the client's cached
 // summary. Request/response structs live on the conn so the measured
 // loop takes no heap allocations of its own.
 type benchConn struct {
-	client codec
-	server codec
+	client *binaryCodec
+	server *binaryCodec
 	delta  *deltaTracker
 
 	c2s *countingWriter
@@ -100,7 +98,7 @@ type benchConn struct {
 	respC, respS *wireResponse
 }
 
-func newBenchConn(b *testing.B, codecName string, delta bool) *benchConn {
+func newBenchConn(b *testing.B, delta bool) *benchConn {
 	b.Helper()
 	reqPipe := &bytes.Buffer{}
 	respPipe := &bytes.Buffer{}
@@ -112,7 +110,7 @@ func newBenchConn(b *testing.B, codecName string, delta bool) *benchConn {
 		respC: &wireResponse{},
 		respS: &wireResponse{},
 	}
-	c.client = newClientCodec(codecName, splitRW{respPipe, c.c2s})
+	c.client = newClientCodec(splitRW{respPipe, c.c2s})
 	c.summary = core.NewSummary()
 	c.summary.Constraint = 12800
 	c.summary.SetLevel(3, 800, 1950.5, 1950.5)
@@ -123,14 +121,14 @@ func newBenchConn(b *testing.B, codecName string, delta bool) *benchConn {
 		c.delta = &deltaTracker{}
 	}
 
-	// First exchange carries the binary preamble and negotiates the
-	// server codec; two more warm every reusable buffer (codec frame
+	// First exchange carries the preamble the server codec checks; two
+	// more warm every reusable buffer (codec frame
 	// buffers, pipe capacity, delta tracker state) so the measured loop
 	// is steady state.
 	if err := c.client.WriteRequest(&wireRequest{Op: opGather}); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := detectServerCodec(bufio.NewReader(reqPipe), c.s2c, CodecAuto)
+	srv, err := newServerCodec(bufio.NewReader(reqPipe), c.s2c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,7 +146,7 @@ func newBenchConn(b *testing.B, codecName string, delta bool) *benchConn {
 }
 
 // finishWarmupGather completes the first exchange, whose request was
-// already written during codec negotiation.
+// already written before the server codec checked the preamble.
 func (c *benchConn) finishWarmupGather() error {
 	if err := c.server.ReadRequest(c.reqS); err != nil {
 		return err

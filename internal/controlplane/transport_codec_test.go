@@ -83,10 +83,10 @@ func TestTCPClientCloseUnblocksStalledRequest(t *testing.T) {
 	}
 }
 
-// jsonScriptServer answers every request on every connection with the
-// same scripted JSON response line, counting connections — a minimal
-// stand-in for a buggy or malicious rack server.
-func jsonScriptServer(t *testing.T, response string) (addr string, conns *atomic.Int32) {
+// scriptServer answers every request on every connection with the same
+// scripted response frame, counting connections — a minimal stand-in for
+// a buggy or malicious rack server.
+func scriptServer(t *testing.T, response wireResponse) (addr string, conns *atomic.Int32) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -103,12 +103,17 @@ func jsonScriptServer(t *testing.T, response string) (addr string, conns *atomic
 			conns.Add(1)
 			go func() {
 				defer conn.Close()
-				br := bufio.NewReader(conn)
+				cdc, err := newServerCodec(bufio.NewReader(conn), conn)
+				if err != nil {
+					return
+				}
+				var req wireRequest
 				for {
-					if _, err := br.ReadBytes('\n'); err != nil {
+					if err := cdc.ReadRequest(&req); err != nil {
 						return
 					}
-					if _, err := io.WriteString(conn, response+"\n"); err != nil {
+					resp := response
+					if err := cdc.WriteResponse(&resp); err != nil {
 						return
 					}
 				}
@@ -124,9 +129,9 @@ func jsonScriptServer(t *testing.T, response string) (addr string, conns *atomic
 // protocol_errors, connection reset (each retry arrives on a fresh
 // connection), and surfaced as an error instead of a healthy stream.
 func TestGatherOKWithoutSummaryIsTransportFault(t *testing.T) {
-	addr, conns := jsonScriptServer(t, `{"ok":true}`)
+	addr, conns := scriptServer(t, wireResponse{OK: true})
 	reg := telemetry.NewRegistry()
-	client := DialRack(addr, time.Second, WithWireCodec(CodecJSON), WithRPCRetry(2, time.Millisecond), WithTelemetry(reg))
+	client := DialRack(addr, time.Second, WithRPCRetry(2, time.Millisecond), WithTelemetry(reg))
 	defer client.Close()
 
 	_, err := client.Gather(context.Background())
@@ -158,8 +163,8 @@ func TestGatherOKWithoutSummaryIsTransportFault(t *testing.T) {
 // full summary has nothing to resolve against and must fault rather than
 // fabricate a summary.
 func TestUnchangedWithoutCacheIsTransportFault(t *testing.T) {
-	addr, _ := jsonScriptServer(t, `{"ok":true,"unchanged":true}`)
-	client := DialRack(addr, time.Second, WithWireCodec(CodecJSON), WithRPCRetry(1, time.Millisecond))
+	addr, _ := scriptServer(t, wireResponse{OK: true, Unchanged: true})
+	client := DialRack(addr, time.Second, WithRPCRetry(1, time.Millisecond))
 	defer client.Close()
 	_, err := client.Gather(context.Background())
 	var pe *protocolError
@@ -171,8 +176,8 @@ func TestUnchangedWithoutCacheIsTransportFault(t *testing.T) {
 	}
 }
 
-// TestBinaryDeltaGatherEndToEnd drives a real server/client pair on the
-// binary codec: the first gather ships a full summary, repeat gathers of
+// TestBinaryDeltaGatherEndToEnd drives a real server/client pair: the
+// first gather ships a full summary, repeat gathers of
 // an unchanged rack squash to delta frames on both counters, and a severed
 // connection forces a full-summary resync before delta resumes.
 func TestBinaryDeltaGatherEndToEnd(t *testing.T) {
@@ -188,8 +193,7 @@ func TestBinaryDeltaGatherEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := DialRack(srv.Addr(), time.Second,
-		WithWireCodec(CodecBinary), WithTelemetry(reg), WithRPCRetry(2, time.Millisecond))
+	client := DialRack(srv.Addr(), time.Second, WithTelemetry(reg), WithRPCRetry(2, time.Millisecond))
 	defer client.Close()
 
 	deltaVec := reg.CounterVec("capmaestro_rpc_delta_hits_total", "", "role")
@@ -244,101 +248,28 @@ func TestBinaryDeltaGatherEndToEnd(t *testing.T) {
 	}
 }
 
-// TestJSONCodecNeverSquashes pins JSON compatibility: a JSON client
-// against a delta-capable server always receives full summaries.
-func TestJSONCodecNeverSquashes(t *testing.T) {
-	worker, err := NewRackWorker("rack0",
-		core.NewShifting("rack0", 0, leaf("s0", "S0", 0, 400)),
-		core.GlobalPriority, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	srv, err := ServeRack(worker, "127.0.0.1:0", WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := DialRack(srv.Addr(), time.Second, WithWireCodec(CodecJSON), WithTelemetry(reg))
-	defer client.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := client.Gather(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deltaVec := reg.CounterVec("capmaestro_rpc_delta_hits_total", "", "role")
-	if got := deltaVec.With("server").Value(); got != 0 {
-		t.Fatalf("JSON connection produced %v delta hits", got)
-	}
-}
-
-// TestServerCodecRestriction pins WithWireCodec on the server side: a
-// JSON-only server rejects binary preambles (counting a protocol error)
-// and vice versa, while the default accepts both.
-func TestServerCodecRestriction(t *testing.T) {
-	newWorker := func() *RackWorker {
-		w, err := NewRackWorker("rack0",
-			core.NewShifting("rack0", 0, leaf("s0", "S0", 0, 400)),
-			core.GlobalPriority, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
+// TestServerRefusesJSONClient pins the preamble check: a client speaking
+// the retired newline-JSON protocol, or any other opening that is not the
+// binary preamble, has its connection closed before anything is decoded,
+// the refusal counts one server protocol error, and the listener keeps
+// serving binary clients. A peer that hangs up mid-preamble is closed too
+// but counts none: it sent nothing wrong.
+func TestServerRefusesJSONClient(t *testing.T) {
 	cases := []struct {
-		name        string
-		server      string
-		client      string
-		wantSuccess bool
+		name       string
+		open       string
+		hangUp     bool // half-close after writing, as a peer going away does
+		wantErrors float64
 	}{
-		{"auto-json", CodecAuto, CodecJSON, true},
-		{"auto-binary", CodecAuto, CodecBinary, true},
-		{"json-json", CodecJSON, CodecJSON, true},
-		{"json-binary", CodecJSON, CodecBinary, false},
-		{"binary-binary", CodecBinary, CodecBinary, true},
-		{"binary-json", CodecBinary, CodecJSON, false},
+		{"json-request-line", `{"op":"gather"}` + "\n", false, 1},
+		{"http-request", "GET / HTTP/1.1\r\n\r\n", false, 1},
+		{"wrong-version", string([]byte{binMagic, binVersion + 1}), false, 1},
+		{"magic-then-hang-up", string([]byte{binMagic}), true, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := telemetry.NewRegistry()
-			srv, err := ServeRack(newWorker(), "127.0.0.1:0",
-				WithWireCodec(tc.server), WithTelemetry(reg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			client := DialRack(srv.Addr(), time.Second,
-				WithWireCodec(tc.client), WithRPCRetry(0, time.Millisecond))
-			defer client.Close()
-			_, err = client.Gather(context.Background())
-			if tc.wantSuccess && err != nil {
-				t.Fatalf("gather failed: %v", err)
-			}
-			if !tc.wantSuccess {
-				if err == nil {
-					t.Fatal("restricted server accepted the wrong codec")
-				}
-				errsVec := reg.CounterVec("capmaestro_rpc_protocol_errors_total", "", "role")
-				if got := errsVec.With("server").Value(); got == 0 {
-					t.Fatal("codec rejection did not count a server protocol error")
-				}
-			}
-		})
-	}
-}
-
-// TestTransportChaosBothCodecs runs a room worker over a real TCP
-// transport through the dropping proxy with fault injection layered on
-// top, once per codec: the codec must survive FaultyClient faults and
-// WithRPCRetry reconnects with trace spans intact, and the binary codec
-// must still land delta hits between the failures.
-func TestTransportChaosBothCodecs(t *testing.T) {
-	for _, codecName := range []string{CodecJSON, CodecBinary} {
-		t.Run(codecName, func(t *testing.T) {
-			seed := chaosSeed(t)
-			const periods = 10
-			worker, err := NewRackWorker("tcprack",
-				core.NewShifting("tcprack", 0, leaf("t0", "T0", 1, 400), leaf("t1", "T1", 0, 400)),
+			worker, err := NewRackWorker("rack0",
+				core.NewShifting("rack0", 0, leaf("s0", "S0", 0, 400)),
 				core.GlobalPriority, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -349,63 +280,154 @@ func TestTransportChaosBothCodecs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			proxy := newDroppingProxy(t, srv.Addr(), 4)
-			tcpClient := DialRack(proxy.addr(), time.Second,
-				WithWireCodec(codecName), WithTelemetry(reg), WithRPCRetry(3, 2*time.Millisecond))
-			defer tcpClient.Close()
-			flaky := NewFaultyClient(tcpClient, seed)
-			flaky.SetErrorRate(0.2)
 
-			rec := flightrec.NewRecorder(periods)
-			dumpTraceOnFailure(t, rec)
-			room, err := NewRoomWorker(
-				core.NewShifting("room", 0, core.NewProxy("tcprack", core.NewSummary())),
-				2000, core.GlobalPriority,
-				map[string]RackClient{"tcprack": flaky},
-				WithFlightRecorder(rec), WithStalenessBound(3))
+			raw, err := net.Dial("tcp", srv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for period := 0; period < periods; period++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				_, _, err := room.RunPeriod(ctx)
-				cancel()
-				if err != nil {
-					t.Fatalf("period %d: %v", period, err)
+			defer raw.Close()
+			if _, err := io.WriteString(raw, tc.open); err != nil {
+				t.Fatal(err)
+			}
+			if tc.hangUp {
+				if err := raw.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if proxy.dropCount() == 0 {
-				t.Fatal("proxy never dropped a request; chaos did not engage")
+			raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, err := raw.Read(make([]byte, 64))
+			var ne net.Error
+			if n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+				t.Fatalf("client read %d bytes (err %v), want the server to close the connection", n, err)
 			}
-			// Trace invariants: every period has a root span carrying its
-			// trace ID, and rack-side spans crossed the transport.
-			rackSpans := 0
-			for _, pr := range rec.Records() {
-				roots := 0
-				for _, s := range pr.Spans {
-					if s.TraceID != pr.TraceID {
-						t.Fatalf("record %d: span %s has trace %q, want %q", pr.ID, s.Name, s.TraceID, pr.TraceID)
-					}
-					if s.ParentID == "" {
-						roots++
-					}
-					if s.Node == "tcprack" && (s.Name == "rack.gather" || s.Name == "rack.apply") {
-						rackSpans++
-					}
-				}
-				if roots != 1 {
-					t.Fatalf("record %d: %d roots, want 1", pr.ID, roots)
-				}
+			protoErrs := reg.CounterVec("capmaestro_rpc_protocol_errors_total", "", "role").With("server")
+			if got := protoErrs.Value(); got != tc.wantErrors {
+				t.Fatalf("server protocol_errors = %v, want %v", got, tc.wantErrors)
 			}
-			if rackSpans == 0 {
-				t.Fatal("no rack-side spans survived the transport")
+
+			client := DialRack(srv.Addr(), time.Second)
+			defer client.Close()
+			if _, err := client.Gather(context.Background()); err != nil {
+				t.Fatalf("binary gather after the refused client: %v", err)
 			}
-			if codecName == CodecBinary {
-				deltaVec := reg.CounterVec("capmaestro_rpc_delta_hits_total", "", "role")
-				if got := deltaVec.With("client").Value(); got == 0 {
-					t.Fatal("binary chaos run landed no delta hits")
-				}
+			if got := protoErrs.Value(); got != tc.wantErrors {
+				t.Fatalf("binary client moved server protocol_errors to %v", got)
 			}
 		})
+	}
+}
+
+// TestWireCodecOnlyBinary pins WithWireCodec: CodecBinary (or nothing) is
+// accepted, any other name stops a server from starting and fails a
+// client's first dial without a retry.
+func TestWireCodecOnlyBinary(t *testing.T) {
+	worker, err := NewRackWorker("rack0",
+		core.NewShifting("rack0", 0, leaf("s0", "S0", 0, 400)),
+		core.GlobalPriority, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ServeRack(worker, "127.0.0.1:0", WithWireCodec("json")); err == nil || !strings.Contains(err.Error(), `"json"`) {
+		t.Fatalf("ServeRack with codec json: err %v, want one naming it", err)
+	}
+	if _, err := ServeRacks(map[string]RackClient{"rack0": worker}, "127.0.0.1:0", WithWireCodec("auto")); err == nil {
+		t.Fatal("ServeRacks accepted codec auto")
+	}
+	srv, err := ServeRack(worker, "127.0.0.1:0", WithWireCodec(CodecBinary))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	reg := telemetry.NewRegistry()
+	bad := DialRack(srv.Addr(), time.Second, WithWireCodec("json"), WithTelemetry(reg), WithRPCRetry(3, time.Millisecond))
+	defer bad.Close()
+	if _, err := bad.Gather(context.Background()); !errors.Is(err, errWireCodec) {
+		t.Fatalf("gather with codec json: %v, want errWireCodec", err)
+	}
+	retries := reg.CounterVec("capmaestro_rpc_retries_total", "", "role").With("client")
+	if got := retries.Value(); got != 0 {
+		t.Fatalf("unknown codec was retried %v times", got)
+	}
+	good := DialRack(srv.Addr(), time.Second, WithWireCodec(CodecBinary))
+	defer good.Close()
+	if _, err := good.Gather(context.Background()); err != nil {
+		t.Fatalf("gather with CodecBinary: %v", err)
+	}
+}
+
+// TestTransportChaos runs a room worker over a real TCP transport through
+// the dropping proxy with fault injection layered on top: the codec must
+// survive FaultyClient faults and WithRPCRetry reconnects with trace spans
+// intact, and still land delta hits between the failures.
+func TestTransportChaos(t *testing.T) {
+	seed := chaosSeed(t)
+	const periods = 10
+	worker, err := NewRackWorker("tcprack",
+		core.NewShifting("tcprack", 0, leaf("t0", "T0", 1, 400), leaf("t1", "T1", 0, 400)),
+		core.GlobalPriority, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	srv, err := ServeRack(worker, "127.0.0.1:0", WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy := newDroppingProxy(t, srv.Addr(), 4)
+	tcpClient := DialRack(proxy.addr(), time.Second,
+		WithTelemetry(reg), WithRPCRetry(3, 2*time.Millisecond))
+	defer tcpClient.Close()
+	flaky := NewFaultyClient(tcpClient, seed)
+	flaky.SetErrorRate(0.2)
+
+	rec := flightrec.NewRecorder(periods)
+	dumpTraceOnFailure(t, rec)
+	room, err := NewRoomWorker(
+		core.NewShifting("room", 0, core.NewProxy("tcprack", core.NewSummary())),
+		2000, core.GlobalPriority,
+		map[string]RackClient{"tcprack": flaky},
+		WithFlightRecorder(rec), WithStalenessBound(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for period := 0; period < periods; period++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, _, err := room.RunPeriod(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("period %d: %v", period, err)
+		}
+	}
+	if proxy.dropCount() == 0 {
+		t.Fatal("proxy never dropped a request; chaos did not engage")
+	}
+	// Trace invariants: every period has a root span carrying its
+	// trace ID, and rack-side spans crossed the transport.
+	rackSpans := 0
+	for _, pr := range rec.Records() {
+		roots := 0
+		for _, s := range pr.Spans {
+			if s.TraceID != pr.TraceID {
+				t.Fatalf("record %d: span %s has trace %q, want %q", pr.ID, s.Name, s.TraceID, pr.TraceID)
+			}
+			if s.ParentID == "" {
+				roots++
+			}
+			if s.Node == "tcprack" && (s.Name == "rack.gather" || s.Name == "rack.apply") {
+				rackSpans++
+			}
+		}
+		if roots != 1 {
+			t.Fatalf("record %d: %d roots, want 1", pr.ID, roots)
+		}
+	}
+	if rackSpans == 0 {
+		t.Fatal("no rack-side spans survived the transport")
+	}
+	deltaVec := reg.CounterVec("capmaestro_rpc_delta_hits_total", "", "role")
+	if got := deltaVec.With("client").Value(); got == 0 {
+		t.Fatal("chaos run landed no delta hits")
 	}
 }

@@ -10,8 +10,8 @@
 // summary), and pushes each rack its budget; rack workers then distribute
 // their budget down to individual power supplies. Workers communicate
 // through a RackClient transport: in-process for single-binary
-// deployments, or JSON-over-TCP (see transport.go) matching the paper's
-// worker-VM deployment.
+// deployments, or a binary protocol over TCP (see transport.go) matching
+// the paper's worker-VM deployment.
 package controlplane
 
 import (
@@ -593,7 +593,6 @@ func (w *RoomWorker) allocPhase(pt *flightrec.PeriodTrace, rootID string) *core.
 	alloc := w.engine.Snapshot()
 	allocSpan.End(nil)
 	w.met.allocateSeconds.ObserveSince(allocStart)
-	w.noteRackBudgets(alloc)
 	return alloc
 }
 
@@ -695,6 +694,7 @@ func (w *RoomWorker) pushPhase(ctx context.Context, pt *flightrec.PeriodTrace, r
 			stats.ApplyErrors++
 		}
 	}
+	w.notePushedBudgets(e.calls)
 	pushSpan.End(nil)
 	w.met.pushSeconds.ObserveSince(start)
 	w.met.applyErrors.Add(float64(stats.ApplyErrors))
@@ -968,13 +968,18 @@ func (w *RoomWorker) evalSLO() {
 	w.slo.EvalPeriod(w.slo.Uptime(), samples...)
 }
 
-// noteRackBudgets updates per-rack budget gauges and logs changes larger
-// than the configured delta.
-func (w *RoomWorker) noteRackBudgets(alloc *core.Allocation) {
+// notePushedBudgets records the budgets a push wave delivered — held
+// racks and failed pushes keep their last pushed value — updating the
+// per-rack gauges and logging changes larger than the configured delta.
+func (w *RoomWorker) notePushedBudgets(calls []fanCall) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for id := range w.racks {
-		b := alloc.NodeBudgets[id]
+	for i := range calls {
+		c := &calls[i]
+		if c.skip || c.err != nil {
+			continue
+		}
+		id, b := c.id, c.budget
 		prev, seen := w.rackBudgets[id]
 		if w.log != nil && seen && math.Abs(float64(b-prev)) > float64(w.budgetLogDelta) {
 			w.log.Info("rack budget changed", "rack", id,

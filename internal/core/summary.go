@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"capmaestro/internal/power"
 )
@@ -176,59 +174,6 @@ func (s *Summary) copyFrom(src *Summary) {
 	}
 	s.levels = append(s.levels[:0], src.levels...)
 	s.Constraint = src.Constraint
-}
-
-// summaryWire is the JSON document shape the control plane has always
-// exchanged: per-level maps keyed by the priority's decimal string.
-type summaryWire struct {
-	CapMin     map[string]power.Watts `json:"cap_min"`
-	Demand     map[string]power.Watts `json:"demand"`
-	Request    map[string]power.Watts `json:"request"`
-	Constraint power.Watts            `json:"constraint"`
-}
-
-// MarshalJSON renders the summary in the historical map-based wire shape.
-func (s Summary) MarshalJSON() ([]byte, error) {
-	w := summaryWire{
-		CapMin:     make(map[string]power.Watts, len(s.levels)),
-		Demand:     make(map[string]power.Watts, len(s.levels)),
-		Request:    make(map[string]power.Watts, len(s.levels)),
-		Constraint: s.Constraint,
-	}
-	for i := range s.levels {
-		k := strconv.Itoa(int(s.levels[i].Priority))
-		w.CapMin[k] = s.levels[i].CapMin
-		w.Demand[k] = s.levels[i].Demand
-		w.Request[k] = s.levels[i].Request
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON parses the historical map-based wire shape.
-func (s *Summary) UnmarshalJSON(data []byte) error {
-	var w summaryWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	s.reset()
-	s.Constraint = w.Constraint
-	set := func(m map[string]power.Watts, assign func(*LevelMetrics, power.Watts)) error {
-		for k, v := range m {
-			p, err := strconv.Atoi(k)
-			if err != nil {
-				return fmt.Errorf("core: summary priority key %q: %w", k, err)
-			}
-			assign(s.level(Priority(p)), v)
-		}
-		return nil
-	}
-	if err := set(w.CapMin, func(l *LevelMetrics, v power.Watts) { l.CapMin = v }); err != nil {
-		return err
-	}
-	if err := set(w.Demand, func(l *LevelMetrics, v power.Watts) { l.Demand = v }); err != nil {
-		return err
-	}
-	return set(w.Request, func(l *LevelMetrics, v power.Watts) { l.Request = v })
 }
 
 // Validate checks internal consistency of a summary received from a remote

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -100,52 +99,5 @@ func TestCombinedSummariesValidate(t *testing.T) {
 		if err := comb.Validate(); err != nil {
 			t.Errorf("limit %v: combined summary invalid: %v\n%+v", limit, err, comb)
 		}
-	}
-}
-
-// TestSummaryJSONWireShape pins the JSON document shape the control plane
-// exchanges: per-level maps keyed by the priority's decimal string, exactly
-// as the original map-based Summary marshaled. The in-memory representation
-// is a sorted slice; the wire must not change.
-func TestSummaryJSONWireShape(t *testing.T) {
-	s := NewSummary()
-	s.SetLevel(0, 270, 450, 450)
-	s.SetLevel(3, 540, 900, 880)
-	s.Constraint = 1470
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"cap_min":{"0":270,"3":540},"demand":{"0":450,"3":900},"request":{"0":450,"3":880},"constraint":1470}`
-	if string(data) != want {
-		t.Fatalf("wire shape changed:\n got %s\nwant %s", data, want)
-	}
-
-	var back Summary
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.CapMin(3) != 540 || back.Demand(0) != 450 || back.Request(3) != 880 || back.Constraint != 1470 {
-		t.Fatalf("roundtrip lost data: %+v", back)
-	}
-
-	// An empty summary marshals with empty (not null) level maps, as
-	// NewSummary's allocated maps always did.
-	data, err = json.Marshal(NewSummary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"cap_min":{},"demand":{},"request":{},"constraint":0}`; string(data) != want {
-		t.Fatalf("empty wire shape changed:\n got %s\nwant %s", data, want)
-	}
-
-	// Historical senders may emit null maps (a zero map-based Summary);
-	// those must still parse.
-	var legacy Summary
-	if err := json.Unmarshal([]byte(`{"cap_min":null,"demand":null,"request":null,"constraint":5}`), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Constraint != 5 || len(legacy.Levels()) != 0 {
-		t.Fatalf("legacy null-map document misparsed: %+v", legacy)
 	}
 }

@@ -192,14 +192,9 @@ func buildFleet(spec *Spec, reg *telemetry.Registry) (*fleet, error) {
 	serverOpts := []controlplane.Option{}
 	clientOpts := []controlplane.Option{controlplane.WithTelemetry(reg)}
 	switch spec.Codec {
-	case "json":
-		clientOpts = append(clientOpts, controlplane.WithWireCodec(controlplane.CodecJSON))
-		serverOpts = append(serverOpts, controlplane.WithDeltaDeadband(-1))
 	case "binary":
-		clientOpts = append(clientOpts, controlplane.WithWireCodec(controlplane.CodecBinary))
 		serverOpts = append(serverOpts, controlplane.WithDeltaDeadband(-1))
 	case "binary-delta":
-		clientOpts = append(clientOpts, controlplane.WithWireCodec(controlplane.CodecBinary))
 		serverOpts = append(serverOpts, controlplane.WithDeltaDeadband(1))
 	}
 	if spec.Digests {

@@ -27,7 +27,7 @@ type Spec struct {
 	// the level-1 aggregator chunking so one batch frame serves one
 	// aggregator's children.
 	FanOut int `json:"fan_out"`
-	// Codec is "json", "binary", or "binary-delta" (binary with a 1 W
+	// Codec is "binary" (delta responses off) or "binary-delta" (a 1 W
 	// delta deadband, so unchanged summaries squash to marker frames).
 	Codec string `json:"codec"`
 	// Batch multiplexes each endpoint's racks into single gather/push
@@ -85,9 +85,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scale: spec %q: levels must be >= 2", s.Name)
 	}
 	switch s.Codec {
-	case "json", "binary", "binary-delta":
+	case "binary", "binary-delta":
 	default:
-		return fmt.Errorf("scale: spec %q: unknown codec %q", s.Name, s.Codec)
+		return fmt.Errorf("scale: spec %q: unknown codec %q (want binary or binary-delta)", s.Name, s.Codec)
 	}
 	return nil
 }
