@@ -5,7 +5,7 @@
 //
 // Run one ad-hoc configuration with flags:
 //
-//	scalesim -racks 250 -servers-per-rack 40 -levels 3 -codec binary -batch -pipeline
+//	scalesim -racks 250 -servers-per-rack 40 -levels 3 -codec binary -batch
 //
 // or a declarative sweep file (see cmd/scalesim/sweeps/):
 //
@@ -35,7 +35,6 @@ func main() {
 		fanOut   = flag.Int("fan-out", 50, "aggregator fan-out and racks per TCP endpoint")
 		codec    = flag.String("codec", "binary", "wire codec: binary (delta responses off) or binary-delta (1 W delta deadband)")
 		batch    = flag.Bool("batch", true, "multiplex each endpoint's racks into batch frames")
-		pipeline = flag.Bool("pipeline", false, "overlap each period's push with the next period's gather")
 		periods  = flag.Int("periods", 20, "measured control periods")
 		warmup   = flag.Int("warmup", 3, "unmeasured warmup periods")
 		rpcConc  = flag.Int("rpc-concurrency", 0, "max in-flight rack RPCs per worker (0 = GOMAXPROCS-scaled default)")
@@ -69,7 +68,6 @@ func main() {
 			FanOut:         *fanOut,
 			Codec:          *codec,
 			Batch:          *batch,
-			Pipeline:       *pipeline,
 			Periods:        *periods,
 			Warmup:         *warmup,
 			RPCConcurrency: *rpcConc,
@@ -82,9 +80,9 @@ func main() {
 	fmt.Printf("scalesim: sweep %q, %d run(s) on %s\n", sweepName, len(specs), scale.MachineString())
 	results := make([]scale.Result, 0, len(specs))
 	for i, spec := range specs {
-		fmt.Printf("[%d/%d] %s: %d racks × %d servers, %d levels, fan-out %d, codec %s, batch=%v, pipeline=%v\n",
+		fmt.Printf("[%d/%d] %s: %d racks × %d servers, %d levels, fan-out %d, codec %s, batch=%v\n",
 			i+1, len(specs), spec.Name, spec.Racks, spec.ServersPerRack,
-			spec.Levels, spec.FanOut, spec.Codec, spec.Batch, spec.Pipeline)
+			spec.Levels, spec.FanOut, spec.Codec, spec.Batch)
 		res, err := scale.Run(ctx, spec, func(format string, args ...any) {
 			fmt.Printf("    "+format+"\n", args...)
 		})

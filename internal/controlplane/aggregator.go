@@ -42,50 +42,39 @@ type Aggregator struct {
 
 	// digests enables the fleet observability rollup: each gather folds
 	// the children's digests (or synthesized equivalents) into one subtree
-	// digest handed upstream. dm is gatherMu-scoped scratch, reused every
+	// digest handed upstream. dm is runMu-scoped scratch, reused every
 	// pass; the digest GatherDigest returns points into it and stays valid
 	// until the next gather, which the control plane's phase ordering
 	// guarantees is after the parent has folded it.
 	digests bool
 	dm      digestMerger
 
-	// runMu guards the tree, engine, and hold map — the shared state both
-	// passes touch. Neither pass holds it during network I/O: Gather runs
-	// its wave under gatherMu alone and takes runMu only to install
-	// summaries and summarize; ApplyBudget takes runMu only to run the
-	// engine and configure its wave. A pipelined parent's push(k) and
-	// gather(k+1) therefore overlap their I/O at every tier. runMu is
-	// never held while accessors run: LastBudget, LastAllocation, and
-	// LastStats only take mu.
-	runMu   sync.Mutex
-	tree    *core.Node
-	proxies map[string]*core.Node
-	engine  *core.Allocator
-	hold    map[string]holdReason
-
-	lim       limiter
-	childList []string // sorted child IDs: deterministic wave order
-
-	// gatherMu serializes Gather passes and owns fan; pushMu serializes
-	// ApplyBudget passes and owns pushF. Each is acquired before runMu,
-	// never the other way around.
-	gatherMu sync.Mutex
-	fan      *fanEngine
-	pushMu   sync.Mutex
-	pushF    *fanEngine
-
-	mu         sync.Mutex
-	seen       map[string]bool // children with at least one good gather
-	down       map[string]bool // children whose last gather failed
-	stale      map[string]int  // consecutive failed gathers per child
-	lastBudget power.Watts
+	// runMu is the pass lock: it is held for a whole GatherDigest or
+	// ApplyBudget pass, network I/O included, so the aggregator runs one
+	// wave at a time, as the room does. It guards everything down to mu.
+	// The accessors never take it: LastBudget, LastAllocation, and
+	// LastStats only take mu, so they never wait on I/O.
+	runMu     sync.Mutex
+	tree      *core.Node
+	proxies   map[string]*core.Node
+	engine    *core.Allocator
+	hold      map[string]holdReason
+	fan       *fanEngine
+	childList []string        // sorted child IDs: deterministic wave order
+	seen      map[string]bool // children with at least one good gather
+	down      map[string]bool // children whose last gather failed
+	stale     map[string]int  // consecutive failed gathers per child
 	// pushed holds, per child in childList order, the budget its last
 	// successful push delivered; ok is false until one succeeds.
 	pushed     []pushedBudget
-	lastAlloc  *core.Allocation
-	lastStats  PeriodStats
 	lastUnseen int // gauge deltas: same-level aggregators share instruments
 	lastStale  int
+
+	// mu guards the observable state below.
+	mu         sync.Mutex
+	lastBudget power.Watts
+	lastAlloc  *core.Allocation
+	lastStats  PeriodStats
 }
 
 // NewAggregator creates a mid-level worker over the given subtree, whose
@@ -133,7 +122,6 @@ func NewAggregator(tree *core.Node, policy core.Policy, clients map[string]RackC
 		childList = append(childList, id)
 	}
 	sort.Strings(childList)
-	lim := newLimiter(o.rpcConcurrency)
 	a := &Aggregator{
 		policy:         policy,
 		clients:        clients,
@@ -146,9 +134,7 @@ func NewAggregator(tree *core.Node, policy core.Policy, clients map[string]RackC
 		tree:           tree,
 		proxies:        proxies,
 		engine:         engine,
-		lim:            lim,
-		fan:            newFanEngine(lim, len(clients)),
-		pushF:          newFanEngine(lim, len(clients)),
+		fan:            newFanEngine(newLimiter(o.rpcConcurrency), len(clients)),
 		childList:      childList,
 		hold:           make(map[string]holdReason, len(clients)),
 		seen:           make(map[string]bool, len(clients)),
@@ -188,8 +174,8 @@ func (a *Aggregator) Gather(ctx context.Context) (core.Summary, error) {
 // that gathered successfully either way. The returned digest points into
 // per-aggregator scratch and is valid until the next gather pass.
 func (a *Aggregator) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.StatDigest, error) {
-	a.gatherMu.Lock()
-	defer a.gatherMu.Unlock()
+	a.runMu.Lock()
+	defer a.runMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return core.Summary{}, nil, err
 	}
@@ -201,11 +187,8 @@ func (a *Aggregator) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.
 	for _, id := range a.childList {
 		e.add(id, a.clients[id])
 	}
-	// The wave is pure I/O into e's call slots; runMu is taken only below,
-	// so an in-flight budget push never delays this gather.
 	e.gatherWave(ctx, pt, span.ID())
 
-	a.runMu.Lock()
 	gatherErrors := 0
 	for i := range e.calls {
 		c := &e.calls[i]
@@ -228,7 +211,6 @@ func (a *Aggregator) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.
 	if a.digests {
 		dig = a.foldDigest(e, gatherErrors)
 	}
-	a.runMu.Unlock()
 	span.End(nil)
 	a.met.gatherSeconds.ObserveSince(start)
 	a.met.gatherErrors.Add(float64(gatherErrors))
@@ -236,9 +218,8 @@ func (a *Aggregator) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.
 }
 
 // foldDigest merges this pass's child digests and stamps the aggregator's
-// own level row. Called under runMu (for the hold map) right after
-// commitGather; takes mu for the staleness bookkeeping and pushed budgets.
-// The wave's calls are in childList order, like pushed.
+// own level row. Called right after commitGather, under runMu. The wave's
+// calls are in childList order, like pushed.
 func (a *Aggregator) foldDigest(e *fanEngine, gatherErrors int) *fleetobs.StatDigest {
 	a.dm.reset()
 	own := fleetobs.LevelStats{
@@ -247,7 +228,6 @@ func (a *Aggregator) foldDigest(e *fanEngine, gatherErrors int) *fleetobs.StatDi
 		GatherErrors: gatherErrors,
 		Held:         len(a.hold),
 	}
-	a.mu.Lock()
 	for i := range e.calls {
 		c := &e.calls[i]
 		if c.err != nil {
@@ -256,11 +236,17 @@ func (a *Aggregator) foldDigest(e *fanEngine, gatherErrors int) *fleetobs.StatDi
 		a.dm.note(c.id, c.digest, &c.summary, a.pushed[i].w, a.pushed[i].ok)
 		own.GatherLatency.Observe(fleetobs.LatencyBounds, c.elapsed.Seconds())
 	}
-	var staleOut []fleetobs.Outlier
 	for id, n := range a.stale {
 		if n > 0 && a.seen[id] {
 			own.Stale++
-			staleOut = append(staleOut, fleetobs.Outlier{
+		}
+	}
+	dig := a.dm.fold(own)
+	// Staleness is the observer's judgment, not the child's, so stale
+	// children become outlier entries after the fold.
+	for id, n := range a.stale {
+		if n > 0 && a.seen[id] {
+			dig.AddOutlier(fleetobs.Outlier{
 				Rack:         id,
 				Reason:       fleetobs.ReasonStale,
 				Score:        2 + float64(n),
@@ -268,21 +254,13 @@ func (a *Aggregator) foldDigest(e *fanEngine, gatherErrors int) *fleetobs.StatDi
 			})
 		}
 	}
-	a.mu.Unlock()
-	dig := a.dm.fold(own)
-	// Staleness is the observer's judgment, not the child's, so stale
-	// children become outlier entries after the fold.
-	for i := range staleOut {
-		dig.AddOutlier(staleOut[i])
-	}
 	return dig
 }
 
-// commitGather records the pass's outcomes under mu — per-child staleness
-// counters, down/recovered transitions — and refills the reused hold map.
+// commitGather records the pass's outcomes — per-child staleness
+// counters, down/recovered transitions — refills the reused hold map, and
+// publishes the gather half of LastStats.
 func (a *Aggregator) commitGather(e *fanEngine, gatherErrors int, start time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for i := range e.calls {
 		c := &e.calls[i]
 		if c.err != nil {
@@ -321,11 +299,13 @@ func (a *Aggregator) commitGather(e *fanEngine, gatherErrors int, start time.Tim
 	a.met.unseenChildren.Add(float64(unseen - a.lastUnseen))
 	a.met.staleChildren.Add(float64(staleHeld - a.lastStale))
 	a.lastUnseen, a.lastStale = unseen, staleHeld
+	a.mu.Lock()
 	a.lastStats = PeriodStats{
 		RacksServed:  len(a.clients),
 		GatherErrors: gatherErrors,
 		Elapsed:      time.Since(start),
 	}
+	a.mu.Unlock()
 }
 
 // ApplyBudget implements RackClient: it allocates the received budget over
@@ -336,25 +316,20 @@ func (a *Aggregator) commitGather(e *fanEngine, gatherErrors int, start time.Tim
 // push error is returned so the parent's apply accounting sees the
 // failure; the full count lands in LastStats.ApplyErrors.
 func (a *Aggregator) ApplyBudget(ctx context.Context, b power.Watts) error {
-	a.pushMu.Lock()
-	defer a.pushMu.Unlock()
+	a.runMu.Lock()
+	defer a.runMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	start := time.Now()
 	pt := flightrec.TraceFrom(ctx)
 	span := pt.StartSpan("agg.apply", a.tree.ID, flightrec.ParentIDFrom(ctx))
-
-	// Engine run and wave configuration need the tree and hold map; the
-	// push I/O below does not, so runMu is released before the wave and a
-	// concurrent Gather can proceed while budgets are still in flight.
-	a.runMu.Lock()
 	a.engine.SetExplainSink(pt.ExplainSink())
 	a.engine.Run(b, a.policy)
 	a.engine.SetExplainSink(nil)
 	alloc := a.engine.Snapshot()
 
-	e := a.pushF
+	e := a.fan
 	e.reset()
 	held := 0
 	for _, id := range a.childList {
@@ -367,8 +342,6 @@ func (a *Aggregator) ApplyBudget(ctx context.Context, b power.Watts) error {
 		}
 		c.budget = alloc.NodeBudgets[id]
 	}
-	a.runMu.Unlock()
-
 	e.pushWave(ctx, pt, span.ID())
 	applyErrors := 0
 	var firstErr error
@@ -385,12 +358,12 @@ func (a *Aggregator) ApplyBudget(ctx context.Context, b power.Watts) error {
 	a.met.pushSeconds.ObserveSince(start)
 	a.met.applyErrors.Add(float64(applyErrors))
 
-	a.mu.Lock()
 	for i := range e.calls {
 		if c := &e.calls[i]; !c.skip && c.err == nil {
 			a.pushed[i] = pushedBudget{w: c.budget, ok: true}
 		}
 	}
+	a.mu.Lock()
 	a.lastBudget = b
 	a.lastAlloc = alloc
 	a.lastStats.ApplyErrors = applyErrors

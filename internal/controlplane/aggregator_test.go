@@ -2,9 +2,11 @@ package controlplane
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"capmaestro/internal/core"
 	"capmaestro/internal/power"
@@ -219,7 +221,7 @@ func TestAggregatorHoldsNeverGatheredChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dark := &switchableClient{inner: LocalClient{Worker: darkWorker}, gatherFails: true}
+	dark := &switchableClient{inner: LocalClient{Worker: darkWorker}, failGathers: true}
 	tree := core.NewShifting("agg", 0,
 		core.NewProxy("ok", core.NewSummary()),
 		core.NewProxy("dark", core.NewSummary()),
@@ -239,7 +241,7 @@ func TestAggregatorHoldsNeverGatheredChild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := dark.pushCount(); n != 0 {
+	if n := dark.budgetPushes(); n != 0 {
 		t.Fatalf("never-gathered child received %d pushes", n)
 	}
 	dark.setGatherFails(false)
@@ -249,10 +251,77 @@ func TestAggregatorHoldsNeverGatheredChild(t *testing.T) {
 	if err := agg.ApplyBudget(context.Background(), 900); err != nil {
 		t.Fatal(err)
 	}
-	if n := dark.pushCount(); n != 1 {
+	if n := dark.budgetPushes(); n != 1 {
 		t.Errorf("recovered child pushes = %d, want 1", n)
 	}
 	if b := darkWorker.LastBudget(); b < 270 {
 		t.Errorf("recovered child budget = %v, want at least its Pcap_min", b)
+	}
+}
+
+// TestAggregatorConcurrentPasses: gathers and budget pushes issued from
+// several goroutines at once serialize on the aggregator's pass lock and
+// on its children's one shared connection, while the accessors answer
+// throughout. Run under -race.
+func TestAggregatorConcurrentPasses(t *testing.T) {
+	const racks = 3
+	serve := make(map[string]RackClient, racks)
+	proxies := make([]*core.Node, 0, racks)
+	for r := 0; r < racks; r++ {
+		w, err := NewRackWorker(fmt.Sprintf("hr%02d", r), hierRackTree(r), core.GlobalPriority, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve[w.ID()] = w
+		proxies = append(proxies, core.NewProxy(w.ID(), core.NewSummary()))
+	}
+	srv, err := ServeRacks(serve, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := DialRack(srv.Addr(), 2*time.Second, WithDigests(true))
+	t.Cleanup(func() { c.Close() })
+	children := make(map[string]RackClient, racks)
+	for id := range serve {
+		children[id] = c.Rack(id)
+	}
+	agg, err := NewAggregator(core.NewShifting("agg", 0, proxies...), core.GlobalPriority, children)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, _, err := agg.GatherDigest(ctx); err != nil {
+					t.Errorf("gather: %v", err)
+					return
+				}
+				if err := agg.ApplyBudget(ctx, 3000); err != nil {
+					t.Errorf("apply: %v", err)
+					return
+				}
+				agg.LastStats()
+				agg.LastBudget()
+				agg.LastAllocation()
+			}
+		}()
+	}
+	wg.Wait()
+	if s := agg.LastStats(); s.GatherErrors+s.ApplyErrors+s.BudgetsHeld != 0 || s.RacksServed != racks {
+		t.Errorf("LastStats = %+v, want %d racks served cleanly", s, racks)
+	}
+	if got := agg.LastBudget(); got != 3000 {
+		t.Errorf("LastBudget = %v, want 3000", got)
+	}
+	for id, w := range serve {
+		if w.(*RackWorker).LastBudget() <= 0 {
+			t.Errorf("rack %s was pushed no budget", id)
+		}
 	}
 }

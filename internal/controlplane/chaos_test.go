@@ -53,17 +53,17 @@ type switchableClient struct {
 	inner RackClient
 
 	mu          sync.Mutex
-	gatherFails bool
+	failGathers bool
 	pushes      []power.Watts
 }
 
 func (c *switchableClient) setGatherFails(v bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gatherFails = v
+	c.failGathers = v
 }
 
-func (c *switchableClient) pushCount() int {
+func (c *switchableClient) budgetPushes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pushes)
@@ -77,7 +77,7 @@ func (c *switchableClient) recordedPushes() []power.Watts {
 
 func (c *switchableClient) Gather(ctx context.Context) (core.Summary, error) {
 	c.mu.Lock()
-	fails := c.gatherFails
+	fails := c.failGathers
 	c.mu.Unlock()
 	if fails {
 		return core.Summary{}, fmt.Errorf("injected gather failure")
@@ -106,7 +106,7 @@ func twoRackRoom(t *testing.T, budget power.Watts, darkFails bool, opts ...Optio
 	if err != nil {
 		t.Fatal(err)
 	}
-	dark := &switchableClient{inner: LocalClient{Worker: darkWorker}, gatherFails: darkFails}
+	dark := &switchableClient{inner: LocalClient{Worker: darkWorker}, failGathers: darkFails}
 	tree := core.NewShifting("top", 0,
 		core.NewProxy("ok", core.NewSummary()),
 		core.NewProxy("dark", core.NewSummary()),
@@ -136,7 +136,7 @@ func TestNeverGatheredRackNeverPushed(t *testing.T) {
 		if stats.GatherErrors != 1 || stats.BudgetsHeld != 1 {
 			t.Fatalf("period %d stats = %+v, want 1 gather error and 1 held budget", period, stats)
 		}
-		if n := dark.pushCount(); n != 0 {
+		if n := dark.budgetPushes(); n != 0 {
 			t.Fatalf("period %d: never-gathered rack received %d pushes", period, n)
 		}
 	}
@@ -150,7 +150,7 @@ func TestNeverGatheredRackNeverPushed(t *testing.T) {
 	if stats.GatherErrors != 0 || stats.BudgetsHeld != 0 {
 		t.Errorf("post-recovery stats = %+v", stats)
 	}
-	if n := dark.pushCount(); n != 1 {
+	if n := dark.budgetPushes(); n != 1 {
 		t.Fatalf("recovered rack pushes = %d, want 1", n)
 	}
 	if b := dark.recordedPushes()[0]; b < 270 {
@@ -170,8 +170,8 @@ func TestFailsafeBudgetReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.BudgetsHeld != 1 || dark.pushCount() != 0 {
-		t.Fatalf("dark rack not held: stats=%+v pushes=%d", stats, dark.pushCount())
+	if stats.BudgetsHeld != 1 || dark.budgetPushes() != 0 {
+		t.Fatalf("dark rack not held: stats=%+v pushes=%d", stats, dark.budgetPushes())
 	}
 	if got := alloc.NodeBudgets["dark"]; !power.ApproxEqual(got, 300, 0.001) {
 		t.Errorf("failsafe reservation = %v, want 300", got)
@@ -196,7 +196,7 @@ func TestStaleRackHeldAfterBound(t *testing.T) {
 		return stats
 	}
 	run() // period 1: both fresh
-	if n := flaky.pushCount(); n != 1 {
+	if n := flaky.budgetPushes(); n != 1 {
 		t.Fatalf("healthy rack pushes = %d, want 1", n)
 	}
 	flaky.setGatherFails(true)
@@ -205,20 +205,20 @@ func TestStaleRackHeldAfterBound(t *testing.T) {
 			t.Fatalf("within-bound period held %d budgets", stats.BudgetsHeld)
 		}
 	}
-	if n := flaky.pushCount(); n != 3 {
+	if n := flaky.budgetPushes(); n != 3 {
 		t.Fatalf("within-bound pushes = %d, want 3", n)
 	}
 	if stats := run(); stats.BudgetsHeld != 1 { // period 4: bound exceeded
 		t.Fatalf("beyond-bound stats = %+v, want 1 held budget", stats)
 	}
-	if n := flaky.pushCount(); n != 3 {
+	if n := flaky.budgetPushes(); n != 3 {
 		t.Fatalf("beyond-bound pushes = %d, want pushes frozen at 3", n)
 	}
 	flaky.setGatherFails(false)
 	if stats := run(); stats.BudgetsHeld != 0 {
 		t.Fatalf("post-recovery stats = %+v", stats)
 	}
-	if n := flaky.pushCount(); n != 4 {
+	if n := flaky.budgetPushes(); n != 4 {
 		t.Errorf("post-recovery pushes = %d, want 4", n)
 	}
 }
@@ -415,7 +415,7 @@ func TestRoomWorkerChaos(t *testing.T) {
 				t.Fatalf("period %d: %s budget %v exceeds rack limit", period, id, b)
 			}
 			// Zero successful gathers → zero pushes, ever.
-			if faulty[i].InnerGathers() == 0 && recorders[i].pushCount() > 0 {
+			if faulty[i].InnerGathers() == 0 && recorders[i].budgetPushes() > 0 {
 				t.Fatalf("period %d: %s pushed before any successful gather", period, id)
 			}
 		}
@@ -440,9 +440,9 @@ func TestRoomWorkerChaos(t *testing.T) {
 		}
 	}
 	// The healed rack came back: gathered, budgeted, applied.
-	if faulty[3].InnerGathers() == 0 || recorders[3].pushCount() == 0 {
+	if faulty[3].InnerGathers() == 0 || recorders[3].budgetPushes() == 0 {
 		t.Errorf("healed rack never resumed: gathers=%d pushes=%d",
-			faulty[3].InnerGathers(), recorders[3].pushCount())
+			faulty[3].InnerGathers(), recorders[3].budgetPushes())
 	}
 	if b := workers[3].LastBudget(); b < rackCapMin-0.001 {
 		t.Errorf("healed rack applied budget = %v", b)

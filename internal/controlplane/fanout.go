@@ -94,9 +94,8 @@ type batchTask struct {
 }
 
 // fanEngine runs bounded-concurrency gather and push waves over a fixed
-// set of children. A worker owns one engine per overlappable phase (the
-// pipelined room worker runs a push wave and the next gather wave
-// concurrently, each on its own engine) and reuses it every period.
+// set of children: one engine per worker, reused every period, running
+// one wave at a time.
 type fanEngine struct {
 	lim   limiter
 	calls []fanCall

@@ -37,8 +37,8 @@ type HierarchyConfig struct {
 
 // Hierarchy is a sharded control plane: a room worker at the top,
 // aggregator tiers below it, rack clients at the bottom. The room drives
-// the whole structure — one RunPeriod (or RunPipelined) recursively
-// gathers and budgets every tier.
+// the whole structure — one RunPeriod recursively gathers and budgets
+// every tier.
 type Hierarchy struct {
 	Room *RoomWorker
 	// Tiers holds the aggregator tiers bottom-up: Tiers[0] is level 1,

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"capmaestro/internal/core"
 	"capmaestro/internal/flightrec"
 	"capmaestro/internal/power"
+	"capmaestro/internal/telemetry"
 )
 
 // hierRack builds one varied rack worker subtree for hierarchy tests:
@@ -434,5 +437,184 @@ func TestHierarchyFlightRecorderOverBatchedBinary(t *testing.T) {
 				t.Errorf("period record has %d leaf explain records, want %d", leafExplains, racks*3)
 			}
 		})
+	}
+}
+
+// TestRoomHealthSeesSubtree: racks failing behind aggregators that still
+// answer must reach the room's health checks. The room's own children
+// (the aggregators) stay fresh throughout, so only the merged fleet
+// digest's level rows can tell Healthy and Degraded about the racks.
+func TestRoomHealthSeesSubtree(t *testing.T) {
+	const racks, bound = 6, 2
+	faulties := make([]*FaultyClient, racks)
+	clients := make(map[string]RackClient, racks)
+	for r := range faulties {
+		w, err := NewRackWorker(fmt.Sprintf("hr%02d", r), hierRackTree(r), core.GlobalPriority, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulties[r] = NewFaultyClient(LocalClient{Worker: w}, int64(r))
+		clients[w.ID()] = faulties[r]
+	}
+	h, err := BuildHierarchy(clients, HierarchyConfig{
+		Levels: 3, FanOut: 3, Policy: core.GlobalPriority, Budget: 5000,
+		Opts: []Option{WithStalenessBound(bound)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	room := h.Room
+	ctx := context.Background()
+	run := func(n int) (stats PeriodStats) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			var err error
+			if _, stats, err = room.RunPeriod(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return stats
+	}
+	// The stats RunPeriod returns carry the period's fleet rollup.
+	if stats := run(1); stats.Fleet.Racks != racks {
+		t.Errorf("period stats cover %d racks, want %d", stats.Fleet.Racks, racks)
+	}
+	if err := room.Healthy(); err != nil {
+		t.Fatalf("clean hierarchy unhealthy: %v", err)
+	}
+	if err := room.Degraded(); err != nil {
+		t.Fatalf("clean hierarchy degraded: %v", err)
+	}
+
+	// One rack failing past the staleness bound is stale and held one
+	// tier down; the room must count it.
+	faulties[0].SetErrorRate(1)
+	run(bound + 1)
+	if err := room.Degraded(); err == nil || err.Error() != "1 rack(s) on stale summaries, 1 held" {
+		t.Errorf("Degraded = %v, want the one stale, held rack counted", err)
+	}
+	if err := room.Healthy(); err != nil {
+		t.Errorf("five of six racks fresh, Healthy = %v", err)
+	}
+
+	// Every rack failing leaves the room blind, although every aggregator
+	// still answers its gather.
+	for _, fc := range faulties {
+		fc.SetErrorRate(1)
+	}
+	run(1)
+	if err := room.Healthy(); err == nil {
+		t.Error("every rack failing, Healthy = nil")
+	}
+}
+
+// TestHierarchyOneConnectionPerEndpoint: gathers and budget pushes share
+// one connection, so after a full period a hierarchy over N multi-rack
+// endpoints holds exactly N connections on each side.
+func TestHierarchyOneConnectionPerEndpoint(t *testing.T) {
+	const endpoints, perEndpoint = 3, 2
+	reg := telemetry.NewRegistry()
+	clients := make(map[string]RackClient, endpoints*perEndpoint)
+	for g := 0; g < endpoints; g++ {
+		serve := make(map[string]RackClient, perEndpoint)
+		for r := g * perEndpoint; r < (g+1)*perEndpoint; r++ {
+			w, err := NewRackWorker(fmt.Sprintf("hr%02d", r), hierRackTree(r), core.GlobalPriority, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serve[w.ID()] = w
+		}
+		srv, err := ServeRacks(serve, "127.0.0.1:0", WithTelemetry(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		c := DialRack(srv.Addr(), 2*time.Second, WithTelemetry(reg))
+		t.Cleanup(func() { c.Close() })
+		for id := range serve {
+			clients[id] = c.Rack(id)
+		}
+	}
+	h, err := BuildHierarchy(clients, HierarchyConfig{
+		Levels: 3, FanOut: perEndpoint, Policy: core.GlobalPriority, Budget: 5000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, stats, err := h.Room.RunPeriod(context.Background()); err != nil {
+		t.Fatal(err)
+	} else if stats.GatherErrors+stats.ApplyErrors+stats.BudgetsHeld != 0 {
+		t.Fatalf("period degraded: %+v", stats)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var conns []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "capmaestro_rpc_open_connections{") {
+			conns = append(conns, line)
+		}
+	}
+	for _, role := range []string{"client", "server"} {
+		want := fmt.Sprintf(`capmaestro_rpc_open_connections{role=%q} %d`, role, endpoints)
+		if !slices.Contains(conns, want) {
+			t.Errorf("open connections %q, want %q", conns, want)
+		}
+	}
+}
+
+// TestPushDropOnSharedConnection: a budget push whose connection drops
+// mid-request takes the shared gather connection (and its delta cache)
+// with it. The push counts as an apply error, the next gather re-dials
+// and comes back as a correct full summary, and delta hits resume on the
+// gather after that.
+func TestPushDropOnSharedConnection(t *testing.T) {
+	w, err := NewRackWorker("hr00", hierRackTree(0), core.GlobalPriority, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeRack(w, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	// Each period sends a gather then a push, so dropping every sixth
+	// request on a connection drops the third period's push.
+	proxy := newDroppingProxy(t, srv.Addr(), 6)
+	reg := telemetry.NewRegistry()
+	c := DialRack(proxy.addr(), 2*time.Second, WithRPCRetry(0, 0), WithTelemetry(reg))
+	t.Cleanup(func() { c.Close() })
+	room, err := NewRoomWorker(core.NewShifting("room", 0, core.NewProxy("hr00", core.NewSummary())),
+		1000, core.GlobalPriority, map[string]RackClient{"hr00": c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.Gather(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHits := []float64{0, 1, 2, 2, 3} // cumulative client delta hits after each period
+	for k, hits := range wantHits {
+		_, stats, err := room.RunPeriod(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantApplyErrors := 0
+		if k == 2 {
+			wantApplyErrors = 1
+		}
+		if stats.GatherErrors != 0 || stats.ApplyErrors != wantApplyErrors {
+			t.Errorf("period %d: %+v, want 0 gather errors and %d apply errors", k, stats, wantApplyErrors)
+		}
+		if got := c.met.deltaHits.Value(); got != hits {
+			t.Errorf("period %d: %v delta hits so far, want %v", k, got, hits)
+		}
+		if got := room.proxies["hr00"].Proxy; !summariesWithin(got, &want, 0) {
+			t.Errorf("period %d: room holds summary %+v, want %+v", k, *got, want)
+		}
+	}
+	if proxy.dropCount() != 1 {
+		t.Errorf("proxy dropped %d requests, want 1", proxy.dropCount())
 	}
 }

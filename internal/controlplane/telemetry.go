@@ -199,7 +199,6 @@ type roomMetrics struct {
 	gatherSeconds   *telemetry.Histogram
 	allocateSeconds *telemetry.Histogram
 	pushSeconds     *telemetry.Histogram
-	pipelineOverlap *telemetry.Histogram
 	periods         *telemetry.Counter
 	gatherErrors    *telemetry.Counter
 	applyErrors     *telemetry.Counter
@@ -231,9 +230,6 @@ func newRoomMetrics(reg *telemetry.Registry, rackIDs []string) roomMetrics {
 		gatherSeconds:   phases.With("gather"),
 		allocateSeconds: phases.With("allocate"),
 		pushSeconds:     phases.With("push"),
-		pipelineOverlap: reg.Histogram("capmaestro_period_pipeline_overlap_seconds",
-			"Time period k's push phase ran concurrently with period k+1's gather in the pipelined room worker.",
-			phaseBuckets),
 		periods: reg.Counter("capmaestro_controlplane_periods_total",
 			"Control periods executed by the room worker."),
 		gatherErrors: reg.Counter("capmaestro_controlplane_gather_errors_total",

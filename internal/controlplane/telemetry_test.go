@@ -17,14 +17,14 @@ import (
 	"capmaestro/internal/telemetry"
 )
 
-// gatherFailClient always fails to gather; budget pushes succeed.
-type gatherFailClient struct{ inner RackClient }
+// failGatherClient always fails to gather; budget pushes succeed.
+type failGatherClient struct{ inner RackClient }
 
-func (c gatherFailClient) Gather(ctx context.Context) (core.Summary, error) {
+func (c failGatherClient) Gather(ctx context.Context) (core.Summary, error) {
 	return core.Summary{}, errors.New("injected gather failure")
 }
 
-func (c gatherFailClient) ApplyBudget(ctx context.Context, b power.Watts) error {
+func (c failGatherClient) ApplyBudget(ctx context.Context, b power.Watts) error {
 	return c.inner.ApplyBudget(ctx, b)
 }
 
@@ -70,7 +70,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // that the staleness gauge tracks consecutive failed periods.
 func TestRoomWorkerTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	room := telemetryRoom(t, reg, func(c RackClient) RackClient { return gatherFailClient{inner: c} })
+	room := telemetryRoom(t, reg, func(c RackClient) RackClient { return failGatherClient{inner: c} })
 
 	for i := 0; i < 2; i++ {
 		if _, _, err := room.RunPeriod(context.Background()); err != nil {
@@ -127,8 +127,8 @@ func TestRoomWorkerHealthFlips(t *testing.T) {
 	tree := core.NewShifting("room", 1200,
 		core.NewProxy("ra", core.NewSummary()), core.NewProxy("rb", core.NewSummary()))
 	room, err := NewRoomWorker(tree, 1000, core.GlobalPriority, map[string]RackClient{
-		"ra": gatherFailClient{inner: LocalClient{Worker: a}},
-		"rb": gatherFailClient{inner: LocalClient{Worker: b}},
+		"ra": failGatherClient{inner: LocalClient{Worker: a}},
+		"rb": failGatherClient{inner: LocalClient{Worker: b}},
 	}, WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
@@ -193,10 +193,10 @@ func TestTransportTelemetry(t *testing.T) {
 			`capmaestro_rpc_seconds_count{role="server",op="gather"} 1`,
 			`capmaestro_rpc_seconds_count{role="server",op="budget"} 1`,
 			`capmaestro_rpc_errors_total{role="client",op="ping"} 1`,
-			// Two connections per side: gathers/pings on one, budget
-			// pushes on the dedicated push channel.
-			`capmaestro_rpc_open_connections{role="client"} 2`,
-			`capmaestro_rpc_open_connections{role="server"} 2`,
+			// One connection per side: gathers, pings, and budget
+			// pushes share it.
+			`capmaestro_rpc_open_connections{role="client"} 1`,
+			`capmaestro_rpc_open_connections{role="server"} 1`,
 		} {
 			if !strings.Contains(out, want) {
 				missing = append(missing, want)
@@ -253,7 +253,7 @@ func TestRoomWorkerSLOAndDegraded(t *testing.T) {
 	room, err := NewRoomWorker(tree, 1000, core.GlobalPriority,
 		map[string]RackClient{
 			"rack-good": mkRack("rack-good", "g-ps", "g"),
-			"rack-bad":  gatherFailClient{inner: mkRack("rack-bad", "b-ps", "b")},
+			"rack-bad":  failGatherClient{inner: mkRack("rack-bad", "b-ps", "b")},
 		}, WithSLO(tracker))
 	if err != nil {
 		t.Fatal(err)

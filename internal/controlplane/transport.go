@@ -427,7 +427,9 @@ func (e *protocolError) Error() string { return "controlplane: protocol error: "
 // TCPClient is a RackClient that talks to a RackServer. It maintains one
 // connection, re-dialing on failure, retries transport failures a bounded
 // number of times with doubling backoff, and serializes requests (the room
-// worker issues one request at a time per rack).
+// worker issues one request at a time per rack). Gathers and budget
+// pushes share the connection: a tier runs one wave at a time, so a push
+// never waits behind a gather.
 //
 // Two locks split request serialization from connection state: reqMu is
 // held for the whole round trip (including dial, I/O, and retry backoff),
@@ -450,13 +452,6 @@ type TCPClient struct {
 	met        rpcMetrics
 
 	reqMu sync.Mutex // serializes round trips; never taken by Close
-
-	// pushMu guards pushC, a lazily created client whose connection
-	// carries only budget pushes. Keeping pushes off the gather stream
-	// means a pipelined period's push wave never head-of-line-blocks the
-	// next gather wave on this strict request-response protocol.
-	pushMu sync.Mutex
-	pushC  *TCPClient
 
 	mu     sync.Mutex // guards everything below
 	closed bool
@@ -498,45 +493,17 @@ func DialRack(addr string, timeout time.Duration, opts ...Option) *TCPClient {
 // already-closed client is a no-op.
 func (c *TCPClient) Close() error {
 	c.mu.Lock()
-	var err error
-	if !c.closed {
-		c.closed = true
-		if c.conn != nil {
-			err = c.conn.Close()
-			c.dropConnLocked()
-		}
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil
 	}
-	c.mu.Unlock()
-
-	c.pushMu.Lock()
-	defer c.pushMu.Unlock()
-	if c.pushC != nil {
-		c.pushC.Close()
+	c.closed = true
+	if c.conn == nil {
+		return nil
 	}
+	err := c.conn.Close()
+	c.dropConnLocked()
 	return err
-}
-
-// pushChannel returns the dedicated budget-push client, creating it on
-// first use. It shares this client's address, options, and metrics but
-// dials its own connection; the server is stateless per connection for
-// budget ops, so pushes and gathers interleave freely across the pair.
-func (c *TCPClient) pushChannel() (*TCPClient, error) {
-	c.pushMu.Lock()
-	defer c.pushMu.Unlock()
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, ErrClientClosed
-	}
-	if c.pushC == nil {
-		c.pushC = &TCPClient{
-			addr: c.addr, timeout: c.timeout, retries: c.retries,
-			backoff: c.backoff, codecErr: c.codecErr,
-			wantDigest: c.wantDigest, met: c.met,
-		}
-	}
-	return c.pushC, nil
 }
 
 // dropConnLocked forgets the live connection (already closed or being
@@ -867,14 +834,9 @@ func (c *TCPClient) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.S
 	return *resp.Summary, resp.Digest, nil
 }
 
-// ApplyBudget implements RackClient. Budget pushes ride the dedicated
-// push channel (see pushChannel).
+// ApplyBudget implements RackClient.
 func (c *TCPClient) ApplyBudget(ctx context.Context, b power.Watts) error {
-	pc, err := c.pushChannel()
-	if err != nil {
-		return err
-	}
-	_, err = pc.roundTrip(ctx, wireRequest{Op: opBudget, Budget: b, Trace: flightrec.WireContext(ctx)})
+	_, err := c.roundTrip(ctx, wireRequest{Op: opBudget, Budget: b, Trace: flightrec.WireContext(ctx)})
 	return err
 }
 
@@ -924,11 +886,7 @@ func (c *TCPClient) ApplyBudgetBatch(ctx context.Context, budgets []BatchBudget,
 		return nil
 	}
 	c.met.noteBatch(len(budgets))
-	pc, err := c.pushChannel()
-	if err != nil {
-		return err
-	}
-	resp, err := pc.roundTrip(ctx, wireRequest{Op: opBatchBudget, BatchBudgets: budgets, Trace: flightrec.WireContext(ctx)})
+	resp, err := c.roundTrip(ctx, wireRequest{Op: opBatchBudget, BatchBudgets: budgets, Trace: flightrec.WireContext(ctx)})
 	if err != nil {
 		return err
 	}
@@ -976,14 +934,9 @@ func (h *RackHandle) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.
 	return *resp.Summary, resp.Digest, nil
 }
 
-// ApplyBudget implements RackClient with a routed single-rack push on the
-// dedicated push channel.
+// ApplyBudget implements RackClient with a routed single-rack push.
 func (h *RackHandle) ApplyBudget(ctx context.Context, b power.Watts) error {
-	pc, err := h.c.pushChannel()
-	if err != nil {
-		return err
-	}
-	_, err = pc.roundTrip(ctx, wireRequest{Op: opBudget, Budget: b, Rack: h.rack, Trace: flightrec.WireContext(ctx)})
+	_, err := h.c.roundTrip(ctx, wireRequest{Op: opBudget, Budget: b, Rack: h.rack, Trace: flightrec.WireContext(ctx)})
 	return err
 }
 

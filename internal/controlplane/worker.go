@@ -80,8 +80,8 @@ type RackWorker struct {
 
 	// dig is the worker's reusable self-digest scratch; GatherDigest
 	// rewrites it under mu each call and hands out a pointer, which the
-	// in-process caller copies before the next gather wave (the room's
-	// pipelined ordering guarantees the waves never overlap).
+	// in-process caller copies before its next gather wave (each tier runs
+	// one wave at a time, so the two never overlap).
 	dig fleetobs.StatDigest
 }
 
@@ -303,9 +303,6 @@ type PeriodStats struct {
 	BudgetsHeld int
 	RacksServed int
 	Elapsed     time.Duration
-	// Overlap is how long this period's push phase ran concurrently with
-	// the next period's gather. Always zero outside RunPipelined.
-	Overlap time.Duration
 	// Fleet is the period's merged fleet digest reduced to its headline
 	// numbers (zero value when digests are off or before the first
 	// rollup).
@@ -355,12 +352,10 @@ type RoomWorker struct {
 
 	// Fan-out machinery, reused every period so steady-state periods stay
 	// allocation-free in the control plane itself (the engine snapshot is
-	// the one remaining O(tree) allocation per period). gatherF and pushF
-	// are separate engines sharing one limiter, so the pipelined runner
-	// can overlap period k's push wave with period k+1's gather wave.
-	lim      limiter
-	gatherF  *fanEngine
-	pushF    *fanEngine
+	// the one remaining O(tree) allocation per period). One engine serves
+	// both waves: a period's push starts only after its allocation, which
+	// is the last reader of the gather wave's call slots.
+	fan      *fanEngine
 	rackList []string // sorted rack IDs: deterministic wave order
 	fresh    map[string]core.Summary
 	failed   map[string]error
@@ -386,7 +381,6 @@ type RoomWorker struct {
 	rackHeld    map[string]bool        // racks whose pushes are being held
 	rackBudgets map[string]power.Watts // last budget pushed per rack
 	pubFleet    fleetobs.StatDigest    // latest merged fleet digest
-	curFleetSum fleetobs.DigestSummary // its headline numbers, for PeriodStats
 	fleetWaves  uint64                 // rollups performed (0 = none yet)
 	fleetTime   time.Time              // when the latest rollup happened
 }
@@ -431,7 +425,6 @@ func NewRoomWorker(tree *core.Node, budget power.Watts, policy core.Policy, rack
 		rackIDs = append(rackIDs, id)
 	}
 	sort.Strings(rackIDs)
-	lim := newLimiter(o.rpcConcurrency)
 	w := &RoomWorker{
 		tree:           tree,
 		budget:         budget,
@@ -439,9 +432,7 @@ func NewRoomWorker(tree *core.Node, budget power.Watts, policy core.Policy, rack
 		racks:          racks,
 		proxies:        proxies,
 		engine:         engine,
-		lim:            lim,
-		gatherF:        newFanEngine(lim, len(racks)),
-		pushF:          newFanEngine(lim, len(racks)),
+		fan:            newFanEngine(newLimiter(o.rpcConcurrency), len(racks)),
 		rackList:       rackIDs,
 		fresh:          make(map[string]core.Summary, len(racks)),
 		failed:         make(map[string]error, len(racks)),
@@ -462,7 +453,7 @@ func NewRoomWorker(tree *core.Node, budget power.Watts, policy core.Policy, rack
 	}
 	if w.digests {
 		w.history = fleetobs.NewHistory(o.fleetHistory)
-		w.gatherF.digests = true
+		w.fan.digests = true
 	}
 	w.met.racks.Set(float64(len(racks)))
 	w.met.budget.Set(float64(budget))
@@ -521,11 +512,26 @@ func (w *RoomWorker) RunPeriod(ctx context.Context) (*core.Allocation, PeriodSta
 		// record is written — a shutdown is not a period.
 		return nil, stats, err
 	}
-	alloc := w.allocPhase(pt, root.ID())
+	alloc := w.allocPhase(pt, root.ID(), &stats)
 	w.pushPhase(ctx, pt, root.ID(), alloc, &stats)
-
 	stats.Elapsed = time.Since(start)
-	w.finishPeriod(pt, root, start, alloc, stats)
+
+	// Publish the completed period: stats commit, trace record, SLO
+	// evaluation, and end-of-period logging.
+	w.commitPeriod(alloc, stats)
+	root.End(nil)
+	w.recordPeriod(pt, start, stats, alloc)
+	w.evalSLO()
+	w.met.budget.Set(float64(w.budget))
+	if w.log != nil {
+		if stats.GatherErrors > 0 || stats.ApplyErrors > 0 || stats.BudgetsHeld > 0 {
+			w.log.Warn("control period end", "elapsed", stats.Elapsed,
+				"gather_errors", stats.GatherErrors, "apply_errors", stats.ApplyErrors,
+				"budgets_held", stats.BudgetsHeld)
+		} else {
+			w.log.Debug("control period end", "elapsed", stats.Elapsed)
+		}
+	}
 	return alloc, stats, nil
 }
 
@@ -537,7 +543,7 @@ func (w *RoomWorker) RunPeriod(ctx context.Context) (*core.Allocation, PeriodSta
 func (w *RoomWorker) gatherPhase(ctx context.Context, pt *flightrec.PeriodTrace, rootID string, stats *PeriodStats) error {
 	start := time.Now()
 	gatherSpan := pt.StartSpan("gather", "room", rootID)
-	e := w.gatherF
+	e := w.fan
 	e.reset()
 	for _, id := range w.rackList {
 		e.add(id, w.racks[id])
@@ -564,13 +570,12 @@ func (w *RoomWorker) gatherPhase(ctx context.Context, pt *flightrec.PeriodTrace,
 }
 
 // allocPhase commits the gather outcomes (filling the reused hold map),
-// installs fresh summaries into the proxies, and runs the budgeting
-// phase on the persistent engine. It touches the tree and engine, so in
-// pipelined mode it must not run while a previous period's push wave is
-// still in flight (the runner joins the push first).
-func (w *RoomWorker) allocPhase(pt *flightrec.PeriodTrace, rootID string) *core.Allocation {
+// folds the fleet digest from the gather wave's call slots into
+// stats.Fleet, installs fresh summaries into the proxies, and runs the
+// budgeting phase on the persistent engine.
+func (w *RoomWorker) allocPhase(pt *flightrec.PeriodTrace, rootID string, stats *PeriodStats) *core.Allocation {
 	w.commitGather(w.fresh, w.failed)
-	w.buildFleetDigest()
+	w.buildFleetDigest(stats)
 
 	// Failed racks keep their previous summary; never-seen racks keep
 	// their construction-time summary or the failsafe reservation.
@@ -598,14 +603,14 @@ func (w *RoomWorker) allocPhase(pt *flightrec.PeriodTrace, rootID string) *core.
 
 // buildFleetDigest folds the gather wave's per-rack digests into the
 // period's fleet rollup and publishes it. It runs from allocPhase — after
-// commitGather, between gather waves — so reading the gather engine's
-// call slots is race-free even in pipelined mode. Racks whose digest did
-// not travel (digest-less transports) are synthesized from their gathered
-// summary and last pushed budget, so the rollup stays watt-for-watt
-// complete either way; racks that failed this period's gather are counted
-// as gather errors and, when riding stale summaries, flagged as stale
-// outliers rather than summed from stale watts.
-func (w *RoomWorker) buildFleetDigest() {
+// commitGather, and before the push wave resets the fan engine's call
+// slots it reads. Racks whose digest did not travel (digest-less
+// transports) are synthesized from their gathered summary and last pushed
+// budget, so the rollup stays watt-for-watt complete either way; racks
+// that failed this period's gather are counted as gather errors and, when
+// riding stale summaries, flagged as stale outliers rather than summed
+// from stale watts.
+func (w *RoomWorker) buildFleetDigest(stats *PeriodStats) {
 	if !w.digests {
 		return
 	}
@@ -614,8 +619,8 @@ func (w *RoomWorker) buildFleetDigest() {
 	own.Workers = len(w.racks)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i := range w.gatherF.calls {
-		c := &w.gatherF.calls[i]
+	for i := range w.fan.calls {
+		c := &w.fan.calls[i]
 		if c.err != nil {
 			own.GatherErrors++
 			continue
@@ -644,7 +649,7 @@ func (w *RoomWorker) buildFleetDigest() {
 		}
 	}
 	w.pubFleet.CopyFrom(fleet)
-	w.curFleetSum = fleet.Summary()
+	stats.Fleet = fleet.Summary()
 	w.fleetWaves++
 	w.fleetTime = time.Now()
 	w.history.Append(fleetobs.Sample{
@@ -669,14 +674,12 @@ func (w *RoomWorker) buildFleetDigest() {
 }
 
 // pushPhase runs one push wave — bounded, batched, no lock across RPCs —
-// skipping racks held by the last commitGather. In pipelined mode it runs
-// concurrently with the next period's gatherPhase; it reads the hold map
-// and alloc filled by its own period's allocPhase, touched by nothing
-// else until the wave is joined.
+// skipping racks held by the last commitGather and pushing each other
+// rack its share of alloc.
 func (w *RoomWorker) pushPhase(ctx context.Context, pt *flightrec.PeriodTrace, rootID string, alloc *core.Allocation, stats *PeriodStats) {
 	start := time.Now()
 	pushSpan := pt.StartSpan("push", "room", rootID)
-	e := w.pushF
+	e := w.fan
 	e.reset()
 	for _, id := range w.rackList {
 		c := e.add(id, w.racks[id])
@@ -698,140 +701,6 @@ func (w *RoomWorker) pushPhase(ctx context.Context, pt *flightrec.PeriodTrace, r
 	pushSpan.End(nil)
 	w.met.pushSeconds.ObserveSince(start)
 	w.met.applyErrors.Add(float64(stats.ApplyErrors))
-}
-
-// finishPeriod publishes a completed period: stats commit, trace record,
-// SLO evaluation, and end-of-period logging.
-func (w *RoomWorker) finishPeriod(pt *flightrec.PeriodTrace, root *flightrec.ActiveSpan, start time.Time, alloc *core.Allocation, stats PeriodStats) {
-	if w.digests {
-		// The fleet summary was built by this period's allocPhase; in
-		// pipelined mode the next allocPhase cannot have run yet (it waits
-		// for this finish), so curFleetSum is still this period's.
-		w.mu.Lock()
-		stats.Fleet = w.curFleetSum
-		w.mu.Unlock()
-	}
-	w.commitPeriod(alloc, stats)
-	root.End(nil)
-	w.recordPeriod(pt, start, stats, alloc, nil)
-	w.evalSLO()
-	w.met.budget.Set(float64(w.budget))
-	if w.log != nil {
-		if stats.GatherErrors > 0 || stats.ApplyErrors > 0 || stats.BudgetsHeld > 0 {
-			w.log.Warn("control period end", "elapsed", stats.Elapsed,
-				"gather_errors", stats.GatherErrors, "apply_errors", stats.ApplyErrors,
-				"budgets_held", stats.BudgetsHeld)
-		} else {
-			w.log.Debug("control period end", "elapsed", stats.Elapsed)
-		}
-	}
-}
-
-// pendingPeriod carries period k's state across the pipeline overlap:
-// its push wave runs while period k+1 gathers, and the period is
-// finished — stats, flight record, callback — once the push joins.
-type pendingPeriod struct {
-	start time.Time
-	pt    *flightrec.PeriodTrace
-	root  *flightrec.ActiveSpan
-	alloc *core.Allocation
-	stats PeriodStats
-	done  chan struct{}
-	push  time.Duration
-}
-
-// RunPipelined executes count control periods back to back, overlapping
-// each period's push phase with the next period's gather: period k's
-// budgets (computed from gather k) push down while gather k+1 is already
-// collecting the next summaries. count <= 0 runs until ctx is cancelled.
-//
-// Freshness semantics are identical to RunPeriod: budgets pushed in
-// period k are always derived from gather k — the overlap never reorders
-// a push ahead of the gather that justified it, because allocation k+1
-// waits for push k to join. The only lag pipelining adds is wall-clock:
-// a rack may receive budget k while already reporting summary k+1.
-//
-// onPeriod (may be nil) receives each completed period once its push
-// wave has joined — so period k's callback fires during period k+1.
-// PeriodStats.Overlap reports how long the period's push ran
-// concurrently with the next gather. A period whose gather is cancelled
-// is never reported; the period whose push was already in flight is.
-func (w *RoomWorker) RunPipelined(ctx context.Context, count int, onPeriod func(*core.Allocation, PeriodStats, error)) error {
-	w.runMu.Lock()
-	defer w.runMu.Unlock()
-	var pend *pendingPeriod
-	finish := func(p *pendingPeriod) {
-		p.stats.Elapsed = time.Since(p.start)
-		w.finishPeriod(p.pt, p.root, p.start, p.alloc, p.stats)
-		if onPeriod != nil {
-			onPeriod(p.alloc, p.stats, nil)
-		}
-	}
-	for k := 0; count <= 0 || k < count; k++ {
-		if err := ctx.Err(); err != nil {
-			if pend != nil {
-				// The pending period's push never launched; like any
-				// cancelled period it goes unrecorded.
-				pend.root.End(err)
-			}
-			return err
-		}
-		start := time.Now()
-		stats := PeriodStats{RacksServed: len(w.racks)}
-		var pt *flightrec.PeriodTrace
-		if w.recorder.Enabled() {
-			pt = flightrec.NewPeriodTrace()
-		}
-		root := pt.StartSpan("period", "room", "")
-		if w.log != nil {
-			w.log.Debug("control period start", "racks", len(w.racks), "pipelined", true)
-		}
-
-		// Launch the previous period's push wave concurrently with this
-		// period's gather. The two waves use separate fan engines but
-		// share the RPC concurrency limiter.
-		if pend != nil {
-			p := pend
-			p.done = make(chan struct{})
-			go func() {
-				pushStart := time.Now()
-				w.pushPhase(ctx, p.pt, p.root.ID(), p.alloc, &p.stats)
-				p.push = time.Since(pushStart)
-				close(p.done)
-			}()
-		}
-
-		gatherStart := time.Now()
-		gerr := w.gatherPhase(ctx, pt, root.ID(), &stats)
-		gatherElapsed := time.Since(gatherStart)
-
-		// Join the overlapped push before touching the hold map or the
-		// engine: allocation k must not race push k-1.
-		if pend != nil {
-			<-pend.done
-			overlap := pend.push
-			if gatherElapsed < overlap {
-				overlap = gatherElapsed
-			}
-			pend.stats.Overlap = overlap
-			w.met.pipelineOverlap.Observe(overlap.Seconds())
-			finish(pend)
-			pend = nil
-		}
-		if gerr != nil {
-			// Cancelled mid-gather: shutdown is not a period.
-			return gerr
-		}
-
-		alloc := w.allocPhase(pt, root.ID())
-		pend = &pendingPeriod{start: start, pt: pt, root: root, alloc: alloc, stats: stats}
-	}
-	// Drain the last period's push synchronously.
-	if pend != nil {
-		w.pushPhase(ctx, pend.pt, pend.root.ID(), pend.alloc, &pend.stats)
-		finish(pend)
-	}
-	return nil
 }
 
 // commitGather records the period's gather outcomes under mu — staleness
@@ -895,23 +764,20 @@ func (w *RoomWorker) commitGather(fresh map[string]core.Summary, failed map[stri
 }
 
 // commitPeriod publishes the period's results under mu. It runs on every
-// completed period, including allocation failures, so the periods counter
-// and the last-period stats never go stale while things break.
+// completed period, however degraded, so the periods counter and the
+// last-period stats never go stale while things break.
 func (w *RoomWorker) commitPeriod(alloc *core.Allocation, stats PeriodStats) {
 	w.mu.Lock()
-	if alloc != nil {
-		w.lastAlloc = alloc
-	}
+	w.lastAlloc = alloc
 	w.lastStats = stats
 	w.periods++
 	w.mu.Unlock()
 	w.met.periods.Inc()
 }
 
-// recordPeriod writes one completed period (successful or failed at
-// allocation) into the flight recorder. Periods aborted by context
-// cancellation are never recorded.
-func (w *RoomWorker) recordPeriod(pt *flightrec.PeriodTrace, start time.Time, stats PeriodStats, alloc *core.Allocation, err error) {
+// recordPeriod writes one completed period into the flight recorder.
+// Periods aborted by context cancellation are never recorded.
+func (w *RoomWorker) recordPeriod(pt *flightrec.PeriodTrace, start time.Time, stats PeriodStats, alloc *core.Allocation) {
 	if pt == nil {
 		return
 	}
@@ -925,12 +791,7 @@ func (w *RoomWorker) recordPeriod(pt *flightrec.PeriodTrace, start time.Time, st
 		BudgetsHeld:  stats.BudgetsHeld,
 		Spans:        pt.Spans(),
 		Explains:     pt.Explains(),
-	}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	if alloc != nil {
-		rec.Infeasible = alloc.Infeasible
+		Infeasible:   alloc.Infeasible,
 	}
 	if stats.Fleet.Racks > 0 {
 		rec.Fleet = &flightrec.FleetNote{
@@ -1086,19 +947,27 @@ func (w *RoomWorker) RackFreshness() map[string]RackFreshness {
 }
 
 // Healthy reports the room worker's health for a /healthz endpoint: nil
-// while the worker can still see at least one rack. It returns an error
-// once a completed control period gathered zero fresh summaries — the
-// room is then flying blind on stale data. Before the first period the
-// worker reports healthy (starting up). It never blocks on in-flight rack
-// RPCs.
+// while the control plane can still see at least one rack. It returns an
+// error once a completed control period gathered zero fresh rack
+// summaries — the plane is then flying blind on stale data. With fleet
+// digests on (the default) it answers for the whole subtree: it reads the
+// lowest level row of the last merged fleet digest, so racks failing
+// behind aggregators that still answer count too. With digests off it
+// sees only the room's own children. Before the first period the worker
+// reports healthy (starting up). It never blocks on in-flight rack RPCs.
 func (w *RoomWorker) Healthy() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.periods == 0 {
 		return nil
 	}
-	if w.lastStats.RacksServed > 0 && w.lastStats.GatherErrors >= w.lastStats.RacksServed {
-		return fmt.Errorf("all %d rack gathers failed last control period", w.lastStats.RacksServed)
+	served, failed := w.lastStats.RacksServed, w.lastStats.GatherErrors
+	if w.digests && len(w.pubFleet.Levels) > 0 {
+		row := &w.pubFleet.Levels[0]
+		served, failed = row.Workers, row.GatherErrors
+	}
+	if served > 0 && failed >= served {
+		return fmt.Errorf("all %d rack gathers failed last control period", served)
 	}
 	return nil
 }
@@ -1107,9 +976,12 @@ func (w *RoomWorker) Healthy() error {
 // /healthz check: nil while every rack is fresh, an error when some
 // racks are stale or their budget pushes are held while the room can
 // still see at least one rack. (When the room sees nothing at all,
-// Healthy reports that — a critical condition, not a degraded one.)
-// Before the first period the worker reports undegraded (starting up).
-// It never blocks on in-flight rack RPCs.
+// Healthy reports that — a critical condition, not a degraded one.) With
+// fleet digests on it counts the whole subtree, summing the stale and
+// held counts of every level row of the last merged fleet digest; with
+// digests off it counts only the room's own children. Before the first
+// period the worker reports undegraded (starting up). It never blocks on
+// in-flight rack RPCs.
 func (w *RoomWorker) Degraded() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1117,12 +989,19 @@ func (w *RoomWorker) Degraded() error {
 		return nil
 	}
 	stale, held := 0, 0
-	for id := range w.racks {
-		if w.rackStale[id] > 0 && w.rackSeen[id] {
-			stale++
+	if w.digests {
+		for i := range w.pubFleet.Levels {
+			stale += w.pubFleet.Levels[i].Stale
+			held += w.pubFleet.Levels[i].Held
 		}
-		if w.rackHeld[id] {
-			held++
+	} else {
+		for id := range w.racks {
+			if w.rackStale[id] > 0 && w.rackSeen[id] {
+				stale++
+			}
+			if w.rackHeld[id] {
+				held++
+			}
 		}
 	}
 	if stale == 0 && held == 0 {

@@ -24,8 +24,7 @@ func MachineString() string {
 }
 
 // Summarize builds the bench-file summary line from the sweep's results:
-// the largest run's headline numbers plus pipelined-vs-barrier margins
-// for any run pairs differing only in the Pipeline flag.
+// the largest run's headline numbers plus each digest run's wire cost.
 func Summarize(runs []Result) string {
 	if len(runs) == 0 {
 		return "no runs"
@@ -40,26 +39,6 @@ func Summarize(runs []Result) string {
 	fmt.Fprintf(&b, "Largest run: %d servers (%d racks, %d levels, %s codec) full gather→allocate→push cycle p50 %.1f ms / p99 %.1f ms — %.0fx inside the 8 s control period.",
 		largest.Servers, largest.Racks, largest.Levels, largest.Codec,
 		largest.P50Ms, largest.P99Ms, 8000/largest.P99Ms)
-	for i := range runs {
-		if !runs[i].Pipeline {
-			continue
-		}
-		p := &runs[i]
-		for j := range runs {
-			q := &runs[j]
-			if q.Pipeline || q.Servers != p.Servers || q.Levels != p.Levels ||
-				q.Codec != p.Codec || q.Batch != p.Batch || q.RPCLatencyMs != p.RPCLatencyMs {
-				continue
-			}
-			if p.EffectivePeriodMs > 0 && q.EffectivePeriodMs > p.EffectivePeriodMs {
-				fmt.Fprintf(&b, " Pipelining at %d servers: effective period %.1f ms vs %.1f ms barrier (%.1f%% faster, mean overlap %.1f ms).",
-					p.Servers, p.EffectivePeriodMs, q.EffectivePeriodMs,
-					100*(q.EffectivePeriodMs-p.EffectivePeriodMs)/q.EffectivePeriodMs,
-					p.MeanOverlapMs)
-			}
-			break
-		}
-	}
 	for i := range runs {
 		r := &runs[i]
 		if !r.Digests {

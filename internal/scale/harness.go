@@ -363,26 +363,15 @@ func Run(ctx context.Context, spec Spec, logf func(format string, args ...any)) 
 	dig0 := counterValue(reg, "capmaestro_fleet_digest_wire_bytes_total", "client")
 
 	var elapsed []time.Duration
-	var overlapSum time.Duration
 	var last controlplane.PeriodStats
 	sampler := startSampler()
 	wallStart := time.Now()
-	if spec.Pipeline {
-		err = h.Room.RunPipelined(ctx, spec.Periods, func(_ *core.Allocation, stats controlplane.PeriodStats, perr error) {
-			if perr == nil {
-				elapsed = append(elapsed, stats.Elapsed)
-				overlapSum += stats.Overlap
-				last = stats
-			}
-		})
-	} else {
-		for i := 0; i < spec.Periods && err == nil; i++ {
-			var stats controlplane.PeriodStats
-			_, stats, err = h.Room.RunPeriod(ctx)
-			if err == nil {
-				elapsed = append(elapsed, stats.Elapsed)
-				last = stats
-			}
+	for i := 0; i < spec.Periods && err == nil; i++ {
+		var stats controlplane.PeriodStats
+		_, stats, err = h.Room.RunPeriod(ctx)
+		if err == nil {
+			elapsed = append(elapsed, stats.Elapsed)
+			last = stats
 		}
 	}
 	wall := time.Since(wallStart)
@@ -405,9 +394,6 @@ func Run(ctx context.Context, spec Spec, logf func(format string, args ...any)) 
 	}
 	res.P50Ms, res.P95Ms, res.P99Ms, res.MaxMs = summarizeLatencies(elapsed)
 	res.EffectivePeriodMs = float64(wall) / float64(time.Millisecond) / float64(spec.Periods)
-	if spec.Pipeline {
-		res.MeanOverlapMs = float64(overlapSum) / float64(time.Millisecond) / float64(spec.Periods)
-	}
 	res.PeakGoroutines = peak
 	periods := float64(spec.Periods)
 	res.BytesOutPerPeriod = (counterValue(reg, "capmaestro_rpc_bytes_total", "client", "out") - bytesOut0) / periods

@@ -7,8 +7,10 @@
 package scale
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -34,10 +36,6 @@ type Spec struct {
 	// frames over one shared connection; false dials one connection per
 	// rack and issues per-rack RPCs (the pre-batching design).
 	Batch bool `json:"batch"`
-	// Pipeline overlaps period k's push with period k+1's gather
-	// (RoomWorker.RunPipelined); false runs the strict
-	// gather→allocate→push barrier.
-	Pipeline bool `json:"pipeline"`
 	// Periods is how many measured control periods to run (default 20)
 	// after Warmup unmeasured ones (default 3).
 	Periods int `json:"periods,omitempty"`
@@ -103,13 +101,8 @@ type Result struct {
 	P99Ms float64 `json:"p99_ms"`
 	MaxMs float64 `json:"max_ms"`
 	// EffectivePeriodMs is measured wall clock divided by measured
-	// periods: the sustainable control-period cadence. For pipelined runs
-	// this is lower than the per-period latency because consecutive
-	// periods overlap.
+	// periods: the sustainable back-to-back control-period cadence.
 	EffectivePeriodMs float64 `json:"effective_period_ms"`
-	// MeanOverlapMs is the mean push/gather overlap per period
-	// (pipelined runs only).
-	MeanOverlapMs float64 `json:"mean_overlap_ms,omitempty"`
 	// PeakGoroutines is the maximum goroutine count sampled during the
 	// measured span — clients, room, aggregators, AND the in-process rack
 	// servers' per-connection handlers.
@@ -146,15 +139,22 @@ type Sweep struct {
 	Runs []Spec `json:"runs"`
 }
 
-// LoadSweep reads and validates a sweep file.
+// LoadSweep reads and validates a sweep file. A field the Spec does not
+// know — a retired knob such as "pipeline", or a typo — fails the load
+// with an error naming it rather than being silently ignored.
 func LoadSweep(path string) (*Sweep, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var sw Sweep
-	if err := json.Unmarshal(data, &sw); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sw); err != nil {
 		return nil, fmt.Errorf("scale: sweep %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scale: sweep %s: trailing data after document", path)
 	}
 	for i := range sw.Runs {
 		sw.Runs[i].defaults()
