@@ -194,11 +194,13 @@ func (r *RunReport) Text() string {
 	return b.String()
 }
 
-// Probe samples the per-second signals window-scoped assertions need.
-// Sample index i holds the state after second i+1 of the run.
+// Probe samples the per-second signals window-scoped assertions need, and
+// only those: node series for node_power nodes, perf series only when a
+// throughput_floor assertion reads them. Sample index i holds the state
+// after second i+1 of the run.
 type Probe struct {
 	nodes    map[string][]float64 // nodeID → watts per second
-	perf     map[int][]float64    // priority → mean perf level per second
+	perf     map[int][]float64    // priority → mean perf level per second; nil when unread
 	nodeIDs  []string             // which nodes to sample
 	samples  int
 	duration int
@@ -208,7 +210,6 @@ type Probe struct {
 func NewProbe(f *File) *Probe {
 	p := &Probe{
 		nodes:    map[string][]float64{},
-		perf:     map[int][]float64{},
 		duration: f.Fleet.DurationSec,
 	}
 	seen := map[string]bool{}
@@ -217,6 +218,9 @@ func NewProbe(f *File) *Probe {
 		if a.Kind == AssertNodePower && !seen[a.Node] {
 			seen[a.Node] = true
 			p.nodeIDs = append(p.nodeIDs, a.Node)
+		}
+		if a.Kind == AssertThroughputFloor && p.perf == nil {
+			p.perf = map[int][]float64{}
 		}
 	}
 	sort.Strings(p.nodeIDs)
@@ -230,6 +234,9 @@ func NewProbe(f *File) *Probe {
 func (p *Probe) Sample(s *sim.Simulator) {
 	for _, id := range p.nodeIDs {
 		p.nodes[id] = append(p.nodes[id], float64(s.NodeLoad(id)))
+	}
+	if p.perf == nil {
+		return
 	}
 	sum := map[int]float64{}
 	cnt := map[int]int{}
@@ -256,6 +263,23 @@ func (p *Probe) Sample(s *sim.Simulator) {
 			p.perf[pr] = append(series, math.NaN())
 		}
 	}
+}
+
+// worstPerf returns a priority's lowest mean perf level over seconds
+// [from, to] and the second it occurred; +Inf when it had no samples.
+func (p *Probe) worstPerf(priority, from, to int) (float64, int) {
+	series := p.perf[priority]
+	worst, worstAt := math.Inf(1), 0
+	for sec := from; sec <= to && sec <= len(series); sec++ {
+		v := series[sec-1]
+		if math.IsNaN(v) {
+			continue // priority had no servers this second
+		}
+		if v < worst {
+			worst, worstAt = v, sec
+		}
+	}
+	return worst, worstAt
 }
 
 // Evaluate runs every assertion in the file against the finished run and
@@ -300,17 +324,7 @@ func evalOne(a *Assertion, f *File, s *sim.Simulator, tracker *slo.Tracker, p *P
 	case AssertThroughputFloor:
 		from, to := a.window(p.duration)
 		res.Detail = fmt.Sprintf("priority %d mean perf ≥ %.3f over [%d,%d]s", a.Priority, a.Min, from, to)
-		series := p.perf[a.Priority]
-		worst, worstAt := math.Inf(1), 0
-		for sec := from; sec <= to && sec <= len(series); sec++ {
-			v := series[sec-1]
-			if math.IsNaN(v) {
-				continue // priority had no servers this second
-			}
-			if v < worst {
-				worst, worstAt = v, sec
-			}
-		}
+		worst, worstAt := p.worstPerf(a.Priority, from, to)
 		if math.IsInf(worst, 1) {
 			return fail("no samples in window")
 		}

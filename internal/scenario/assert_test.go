@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // quietFleet is a dual-corded two-rack fleet with comfortable headroom:
@@ -327,4 +329,41 @@ func TestFileLint(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
+}
+
+// probeLibraryFile runs a committed scenario second by second under a
+// fresh probe, the way RunFile does, and returns the probe.
+func probeLibraryFile(t *testing.T, name string) *Probe {
+	t.Helper()
+	f, err := ReadFile(filepath.Join("..", "..", "scenarios", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := f.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sc.BuildSim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProbe(f)
+	for i := 0; i < sc.DurationSec; i++ {
+		s.Run(time.Second)
+		p.Sample(s)
+	}
+	return p
+}
+
+// TestProbeSamplesOnlyAssertedSeries: a file without a throughput_floor
+// assertion carries no perf series, and one with it still sees exactly
+// the worst perf level (and its second) the full sampling saw.
+func TestProbeSamplesOnlyAssertedSeries(t *testing.T) {
+	if p := probeLibraryFile(t, "breaker-near-trip-storm.yaml"); len(p.perf) != 0 {
+		t.Errorf("file without throughput_floor sampled perf series for %d priorities", len(p.perf))
+	}
+	p := probeLibraryFile(t, "feed-failure-peak.yaml")
+	if worst, at := p.worstPerf(2, 60, 150); worst != 0.8630442970070579 || at != 97 {
+		t.Errorf("feed-failure-peak priority 2 worst perf %v at t=%ds, want 0.8630442970070579 at t=97s", worst, at)
+	}
 }

@@ -139,8 +139,16 @@ type Server struct {
 	targetDCCap power.Watts // cap last requested via SetDCCap
 	effDCCap    power.Watts // cap currently actuated by the node manager
 
+	// The operating point is a pure function of (util, effDCCap), and the
+	// supply shares of the supply states; both are recomputed where those
+	// inputs change (refresh, refreshShares) so every reader is a load.
+	demandDC, floorDC, dcPower, acPower power.Watts
+	shares                              []float64 // renormalized split per supply
+
 	uncontrolled power.Watts
 	spares       []hotSpare
+
+	dcCapLo, dcCapHi power.Watts // DCCapRange; model, eff and uncontrolled are fixed
 
 	noise *rand.Rand
 	sigma float64
@@ -213,9 +221,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.NoiseSigma > 0 {
 		srv.noise = rand.New(rand.NewSource(cfg.NoiseSeed))
 	}
-	_, hi := srv.Envelope()
-	srv.targetDCCap = srv.dcAt(hi)
+	capMin, capMax := srv.Envelope()
+	srv.dcCapLo, srv.dcCapHi = srv.dcAt(capMin), srv.dcAt(capMax)
+	srv.targetDCCap = srv.dcCapHi
 	srv.effDCCap = srv.targetDCCap
+	srv.shares = make([]float64, len(srv.supplies))
+	srv.refresh()
+	srv.refreshShares()
 	return srv, nil
 }
 
@@ -275,10 +287,7 @@ func (s *Server) UncontrolledPower() power.Watts { return s.uncontrolled }
 
 // DCCapRange returns the node manager's controllable DC cap range,
 // corresponding to the effective AC envelope.
-func (s *Server) DCCapRange() (lo, hi power.Watts) {
-	capMin, capMax := s.Envelope()
-	return s.dcAt(capMin), s.dcAt(capMax)
-}
+func (s *Server) DCCapRange() (lo, hi power.Watts) { return s.dcCapLo, s.dcCapHi }
 
 // SetUtilization sets the workload's CPU utilization in [0,1].
 func (s *Server) SetUtilization(u float64) {
@@ -289,6 +298,7 @@ func (s *Server) SetUtilization(u float64) {
 		u = 1
 	}
 	s.util = u
+	s.refresh()
 }
 
 // Utilization returns the current workload CPU utilization.
@@ -346,10 +356,15 @@ func (s *Server) Step(dt time.Duration) {
 	if dt <= 0 {
 		return
 	}
-	alpha := 1 - math.Exp(-dt.Seconds()/s.tau.Seconds())
-	s.effDCCap += power.Watts(alpha) * (s.targetDCCap - s.effDCCap)
-	if power.ApproxEqual(s.effDCCap, s.targetDCCap, 0.01) {
-		s.effDCCap = s.targetDCCap
+	// A settled cap cannot move, so neither it nor the operating point
+	// needs recomputing.
+	if s.effDCCap != s.targetDCCap {
+		alpha := 1 - math.Exp(-dt.Seconds()/s.tau.Seconds())
+		s.effDCCap += power.Watts(alpha) * (s.targetDCCap - s.effDCCap)
+		if power.ApproxEqual(s.effDCCap, s.targetDCCap, 0.01) {
+			s.effDCCap = s.targetDCCap
+		}
+		s.refresh()
 	}
 	s.applyHotSpares()
 }
@@ -368,8 +383,10 @@ func (s *Server) applyHotSpares() {
 			switch {
 			case sup.State == SupplyActive && total < hs.enterBelow && s.WorkingSupplies() > 1:
 				sup.State = SupplyStandby
+				s.refreshShares()
 			case sup.State == SupplyStandby && total > hs.exitAbove:
 				sup.State = SupplyActive
+				s.refreshShares()
 			}
 		}
 	}
@@ -388,25 +405,26 @@ func (s *Server) acFloor() power.Watts {
 	return s.model.Idle + power.Watts(s.util)*(s.model.CapMin-s.model.Idle) + s.uncontrolled
 }
 
-// DCPower returns the DC power the server is drawing now, after the node
-// manager applies the effective cap.
-func (s *Server) DCPower() power.Watts {
-	demand := s.dcAt(s.ACDemand())
-	floor := s.dcAt(s.acFloor())
-	p := power.Min(demand, s.effDCCap)
-	return power.Max(p, floor)
+// refresh recomputes the operating point after util or effDCCap moves.
+func (s *Server) refresh() {
+	s.demandDC = s.dcAt(s.ACDemand())
+	s.floorDC = s.dcAt(s.acFloor())
+	s.dcPower = power.Max(power.Min(s.demandDC, s.effDCCap), s.floorDC)
+	s.acPower = s.acAt(s.dcPower)
 }
 
+// DCPower returns the DC power the server is drawing now, after the node
+// manager applies the effective cap.
+func (s *Server) DCPower() power.Watts { return s.dcPower }
+
 // ACPower returns the total AC power drawn from the feeds now.
-func (s *Server) ACPower() power.Watts { return s.acAt(s.DCPower()) }
+func (s *Server) ACPower() power.Watts { return s.acPower }
 
 // ThrottleLevel returns the node manager's power-cap throttling metric in
 // [0,1]: 0 means full performance, 1 means the lowest performance state for
 // the current workload.
 func (s *Server) ThrottleLevel() float64 {
-	demand := s.dcAt(s.ACDemand())
-	floor := s.dcAt(s.acFloor())
-	actual := s.DCPower()
+	demand, floor, actual := s.demandDC, s.floorDC, s.dcPower
 	if actual >= demand || demand <= floor {
 		return 0
 	}
@@ -424,25 +442,24 @@ func (s *Server) ThrottleLevel() float64 {
 // workload currently achieves.
 func (s *Server) PerfLevel() float64 { return 1 - s.ThrottleLevel() }
 
-// workingSplits returns each supply's renormalized share of the server
-// load, accounting for failed and standby supplies. A failed or standby
-// supply carries zero.
-func (s *Server) workingSplits() []float64 {
-	shares := make([]float64, len(s.supplies))
+// refreshShares recomputes each supply's renormalized share of the server
+// load after a supply state changes. A failed or standby supply carries
+// zero.
+func (s *Server) refreshShares() {
 	var sum float64
 	for i, sup := range s.supplies {
+		s.shares[i] = 0
 		if sup.State == SupplyActive {
-			shares[i] = sup.Split
+			s.shares[i] = sup.Split
 			sum += sup.Split
 		}
 	}
 	if sum == 0 {
-		return shares // total power-loss condition; all zero
+		return // total power-loss condition; all zero
 	}
-	for i := range shares {
-		shares[i] /= sum
+	for i := range s.shares {
+		s.shares[i] /= sum
 	}
-	return shares
 }
 
 // ActiveSupplyIDs lists the IDs of supplies currently carrying load, in
@@ -471,10 +488,9 @@ func (s *Server) WorkingSupplies() int {
 // SupplyShare returns the renormalized split fraction r for the named
 // supply under the current supply states, and whether the supply exists.
 func (s *Server) SupplyShare(supplyID string) (float64, bool) {
-	shares := s.workingSplits()
 	for i, sup := range s.supplies {
 		if sup.ID == supplyID {
-			return shares[i], true
+			return s.shares[i], true
 		}
 	}
 	return 0, false
@@ -495,6 +511,7 @@ func (s *Server) SetSupplyState(supplyID string, state SupplyState) error {
 	for i := range s.supplies {
 		if s.supplies[i].ID == supplyID {
 			s.supplies[i].State = state
+			s.refreshShares()
 			return nil
 		}
 	}
@@ -518,13 +535,11 @@ type Reading struct {
 func (s *Server) ReadSensors() Reading {
 	r := Reading{
 		SupplyAC: make(map[string]power.Watts, len(s.supplies)),
-		DCPower:  s.DCPower(),
+		DCPower:  s.dcPower,
 		Throttle: s.ThrottleLevel(),
 	}
-	shares := s.workingSplits()
-	ac := s.ACPower()
 	for i, sup := range s.supplies {
-		v := power.Watts(shares[i]) * ac
+		v := power.Watts(s.shares[i]) * s.acPower
 		if s.noise != nil && v > 0 {
 			v += power.Watts(s.noise.NormFloat64() * s.sigma)
 			if v < 0 {

@@ -113,6 +113,11 @@ type Simulator struct {
 	breakerFeed map[string]topology.FeedID
 	feedFailed  map[topology.FeedID]bool
 
+	// serverIDs and breakerIDs are the sorted keys of servers and
+	// breakers, built once in New: neither set changes afterwards.
+	serverIDs  []string
+	breakerIDs []string
+
 	lastReadings map[string]server.Reading
 	lastAllocs   map[topology.FeedID]*core.Allocation
 	lastSPO      *core.SPOReport
@@ -156,7 +161,9 @@ type event struct {
 	fn   func(*Simulator)
 }
 
-// New validates the configuration and builds a simulator at t=0.
+// New validates the configuration and builds a simulator at t=0. The
+// topology and the server set are fixed from here on: the breakers and the
+// sorted server and breaker ID lists are built once, here, and rely on it.
 func New(cfg Config) (*Simulator, error) {
 	if cfg.Topology == nil {
 		return nil, errors.New("sim: nil topology")
@@ -269,6 +276,8 @@ func New(cfg Config) (*Simulator, error) {
 			return true
 		})
 	}
+	s.serverIDs = sortedKeys(s.servers)
+	s.breakerIDs = sortedKeys(s.breakers)
 	return s, nil
 }
 
@@ -287,7 +296,7 @@ func (s *Simulator) Now() time.Duration { return s.now }
 func (s *Simulator) Topology() *topology.Topology { return s.topo }
 
 // ServerIDs lists simulated server IDs in sorted order.
-func (s *Simulator) ServerIDs() []string { return s.serverIDs() }
+func (s *Simulator) ServerIDs() []string { return append([]string(nil), s.serverIDs...) }
 
 // Recorder exposes the collected time series.
 func (s *Simulator) Recorder() *trace.Recorder { return s.rec }
@@ -478,8 +487,7 @@ func (s *Simulator) tick() {
 	}
 
 	// Actuation + per-second sensing.
-	ids := s.serverIDs()
-	for _, id := range ids {
+	for _, id := range s.serverIDs {
 		s.servers[id].Step(time.Second)
 		s.lastReadings[id] = s.controllers[id].Sense()
 	}
@@ -622,7 +630,7 @@ func (s *Simulator) controlPeriod() {
 		}
 	}
 
-	for _, id := range s.serverIDs() {
+	for _, id := range s.serverIDs {
 		s.controllers[id].Iterate()
 	}
 
@@ -676,11 +684,6 @@ const safetyTolerance = 0.005
 // from the breakers' accumulated heat and delivers this tick's safety
 // verdict to the open exposure window.
 func (s *Simulator) updateBreakers() {
-	ids := make([]string, 0, len(s.breakers))
-	for id := range s.breakers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var (
 		feedRisk   map[topology.FeedID]float64
 		minTTT     time.Duration
@@ -689,7 +692,7 @@ func (s *Simulator) updateBreakers() {
 	if s.slo != nil {
 		feedRisk = make(map[topology.FeedID]float64)
 	}
-	for _, id := range ids {
+	for _, id := range s.breakerIDs {
 		b := s.breakers[id]
 		if b.Tripped() {
 			if feedRisk != nil {
@@ -777,9 +780,8 @@ func (s *Simulator) evalSLOPeriod() {
 	if s.slo == nil {
 		return
 	}
-	ids := s.serverIDs()
-	samples := make([]slo.Sample, 0, len(ids))
-	for _, id := range ids {
+	samples := make([]slo.Sample, 0, len(s.serverIDs))
+	for _, id := range s.serverIDs {
 		samples = append(samples, slo.Sample{
 			Signal: slo.SignalCapViolationStreak,
 			Label:  id,
@@ -833,9 +835,9 @@ func (s *Simulator) recordTraces() {
 	}
 }
 
-func (s *Simulator) serverIDs() []string {
-	ids := make([]string, 0, len(s.servers))
-	for id := range s.servers {
+func sortedKeys[V any](m map[string]V) []string {
+	ids := make([]string, 0, len(m))
+	for id := range m {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
