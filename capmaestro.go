@@ -174,7 +174,11 @@ type (
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
 // NewController builds a capping controller for a node (a *Server or any
-// implementation of the capping.Node sensor/actuator interface).
+// implementation of the capping.Node sensor/actuator interface). A node
+// addresses its supplies by index: SupplyIDs, read once here, names them;
+// ReadSensors fills a caller-owned Reading with one SupplyAC entry per
+// supply in that order, reusing its slice; SupplyActive(i) reports
+// whether supply i carries load.
 func NewController(node capping.Node, cfg ControllerConfig) (*Controller, error) {
 	return capping.New(node, cfg)
 }

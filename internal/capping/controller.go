@@ -36,11 +36,18 @@ import (
 // Node is the slice of a server the capping controller interacts with:
 // IPMI-style sensors plus the node manager's DC cap. *server.Server
 // implements it; a real deployment would back it with IPMI transport.
+//
+// Supplies are addressed by index in SupplyIDs order. The controller reads
+// SupplyIDs once, in New, so a node's supply set must not change after it.
 type Node interface {
-	ReadSensors() server.Reading
+	// ReadSensors fills r with one SupplyAC entry per supply, reusing
+	// r.SupplyAC's backing array.
+	ReadSensors(r *server.Reading)
 	SetDCCap(power.Watts)
 	DCCapRange() (lo, hi power.Watts)
-	ActiveSupplyIDs() []string
+	SupplyIDs() []string
+	// SupplyActive reports whether supply i is carrying load now.
+	SupplyActive(i int) bool
 }
 
 // ErrorMode selects how the controller combines per-supply errors.
@@ -93,16 +100,20 @@ var Unbudgeted = power.Watts(math.Inf(1))
 
 // Controller enforces per-supply AC budgets on one server.
 type Controller struct {
-	node    Node
-	k       float64
-	gain    float64
-	mode    ErrorMode
-	budgets map[string]power.Watts
-	est     *power.DemandEstimator
+	node Node
+	k    float64
+	gain float64
+	mode ErrorMode
+	est  *power.DemandEstimator
+
+	// supplies and budgets are indexed like the node's supplies; a supply
+	// without a budget holds Unbudgeted.
+	supplies []string
+	budgets  []power.Watts
 
 	integrator  power.Watts
 	initialized bool
-	lastReading server.Reading
+	reading     server.Reading // reused by every Sense
 	haveReading bool
 
 	met         controllerMetrics
@@ -134,14 +145,20 @@ func New(node Node, cfg Config) (*Controller, error) {
 	if window == 0 {
 		window = power.DefaultDemandWindow
 	}
+	supplies := node.SupplyIDs()
+	budgets := make([]power.Watts, len(supplies))
+	for i := range budgets {
+		budgets[i] = Unbudgeted
+	}
 	return &Controller{
-		node:    node,
-		k:       k,
-		gain:    gain,
-		mode:    cfg.Errors,
-		budgets: make(map[string]power.Watts),
-		est:     power.NewDemandEstimator(window),
-		met:     newControllerMetrics(cfg.Telemetry, cfg.ID),
+		node:     node,
+		k:        k,
+		gain:     gain,
+		mode:     cfg.Errors,
+		est:      power.NewDemandEstimator(window),
+		supplies: supplies,
+		budgets:  budgets,
+		met:      newControllerMetrics(cfg.Telemetry, cfg.ID, len(supplies)),
 	}, nil
 }
 
@@ -154,22 +171,37 @@ func MustNew(node Node, cfg Config) *Controller {
 	return c
 }
 
+// supplyIndex returns the node's index for the named supply, or -1.
+func (c *Controller) supplyIndex(supplyID string) int {
+	for i, id := range c.supplies {
+		if id == supplyID {
+			return i
+		}
+	}
+	return -1
+}
+
 // SetBudget assigns an AC power budget to one supply. Pass Unbudgeted to
-// remove the constraint.
+// remove the constraint. A supply the node does not have is ignored.
 func (c *Controller) SetBudget(supplyID string, budget power.Watts) {
+	i := c.supplyIndex(supplyID)
+	if i < 0 {
+		return
+	}
+	prev := c.budgets[i]
+	had := prev != Unbudgeted
 	if math.IsInf(float64(budget), 1) {
-		if _, had := c.budgets[supplyID]; had {
-			delete(c.budgets, supplyID)
-			c.met.budgetGauge(supplyID).Set(math.Inf(1))
+		if had {
+			c.budgets[i] = Unbudgeted
+			c.met.budgetGauge(i, supplyID).Set(math.Inf(1))
 		}
 		return
 	}
 	if budget < 0 {
 		budget = 0
 	}
-	prev, had := c.budgets[supplyID]
-	c.budgets[supplyID] = budget
-	c.met.budgetGauge(supplyID).Set(float64(budget))
+	c.budgets[i] = budget
+	c.met.budgetGauge(i, supplyID).Set(float64(budget))
 	// A materially different budget starts a settle-time measurement; the
 	// histogram records how many iterations the loop takes to pull every
 	// supply back under its line.
@@ -181,8 +213,8 @@ func (c *Controller) SetBudget(supplyID string, budget power.Watts) {
 
 // Budget returns the AC budget assigned to a supply (Unbudgeted if none).
 func (c *Controller) Budget(supplyID string) power.Watts {
-	if b, ok := c.budgets[supplyID]; ok {
-		return b
+	if i := c.supplyIndex(supplyID); i >= 0 {
+		return c.budgets[i]
 	}
 	return Unbudgeted
 }
@@ -190,8 +222,10 @@ func (c *Controller) Budget(supplyID string) power.Watts {
 // BudgetedSupplies lists the supplies with assigned budgets, sorted.
 func (c *Controller) BudgetedSupplies() []string {
 	ids := make([]string, 0, len(c.budgets))
-	for id := range c.budgets {
-		ids = append(ids, id)
+	for i, b := range c.budgets {
+		if b != Unbudgeted {
+			ids = append(ids, c.supplies[i])
+		}
 	}
 	sort.Strings(ids)
 	return ids
@@ -200,15 +234,18 @@ func (c *Controller) BudgetedSupplies() []string {
 // Sense takes one per-second sensor sample, feeding the demand estimator.
 // The paper's prototype reads sensors every second and runs the control
 // iteration every 8-second control period.
+//
+// The returned reading's SupplyAC is in the node's SupplyIDs order and
+// shares the controller's buffer: it is valid until the next Sense.
 func (c *Controller) Sense() server.Reading {
-	r := c.node.ReadSensors()
+	c.node.ReadSensors(&c.reading)
+	r := c.reading
 	c.est.Observe(r.TotalAC, r.Throttle)
-	c.lastReading = r
 	c.haveReading = true
 	if c.met.enabled {
 		c.met.throttle.Set(r.Throttle)
-		for id, p := range r.SupplyAC {
-			c.met.powerGauge(id).Set(float64(p))
+		for i, p := range r.SupplyAC {
+			c.met.powerGauge(i, c.supplies[i]).Set(float64(p))
 		}
 	}
 	return r
@@ -225,7 +262,7 @@ func (c *Controller) Iterate() power.Watts {
 	if !c.haveReading {
 		c.Sense()
 	}
-	r := c.lastReading
+	r := c.reading
 	c.haveReading = false // force a fresh reading next iteration
 
 	lo, hi := c.node.DCCapRange()
@@ -236,23 +273,25 @@ func (c *Controller) Iterate() power.Watts {
 		c.initialized = true
 	}
 
-	active := c.node.ActiveSupplyIDs()
-	m := len(active)
+	m := 0 // working supplies
 	minErr := power.Watts(math.Inf(1))
 	var errSum power.Watts
 	var budgeted, violated int
-	for _, id := range active {
-		budget, ok := c.budgets[id]
-		if !ok {
+	for i, budget := range c.budgets {
+		if !c.node.SupplyActive(i) {
+			continue
+		}
+		m++
+		if budget == Unbudgeted {
 			continue // unbudgeted supply does not constrain
 		}
-		errW := budget - r.SupplyAC[id]
+		errW := budget - r.SupplyAC[i]
 		errSum += errW
 		budgeted++
 		if errW < minErr {
 			minErr = errW
 		}
-		if r.SupplyAC[id] > budget+violationTolerance(budget) {
+		if r.SupplyAC[i] > budget+violationTolerance(budget) {
 			violated++
 		}
 	}

@@ -233,6 +233,55 @@ func TestBudgetAccessors(t *testing.T) {
 	}
 }
 
+func TestSetBudgetOnUnknownSupplyIsNoOp(t *testing.T) {
+	// Supplies configured out of ID order: BudgetedSupplies must still
+	// list them sorted.
+	srv := server.MustNew(server.Config{
+		ID:    "s1",
+		Model: power.DefaultServerModel(),
+		Supplies: []server.Supply{
+			{ID: "psB", Split: 0.5},
+			{ID: "psA", Split: 0.5},
+		},
+	})
+	srv.SetUtilization(1)
+	c := MustNew(srv, Config{})
+	c.SetBudget("nope", 100)
+	if got := c.Budget("nope"); got != Unbudgeted {
+		t.Errorf("unknown supply's budget = %v, want Unbudgeted", got)
+	}
+	if got := c.BudgetedSupplies(); len(got) != 0 {
+		t.Errorf("budgeted supplies after an unknown-supply budget = %v, want none", got)
+	}
+	runLoop(c, srv, 4)
+	if got := srv.ACPower(); !power.ApproxEqual(got, 490, 1) {
+		t.Errorf("power under an unknown-supply budget = %v, want uncapped ~490", got)
+	}
+	c.SetBudget("psB", 250)
+	c.SetBudget("nope", 100)
+	c.SetBudget("psA", 240)
+	if got := c.BudgetedSupplies(); len(got) != 2 || got[0] != "psA" || got[1] != "psB" {
+		t.Errorf("budgeted supplies = %v, want [psA psB]", got)
+	}
+}
+
+func TestSenseIterateAllocatesNothing(t *testing.T) {
+	srv := testServer(t, 0.6)
+	srv.SetUtilization(1)
+	c := MustNew(srv, Config{})
+	c.SetBudget("psA", 200)
+	c.SetBudget("psB", 150)
+	runLoop(c, srv, 2)
+	allocs := testing.AllocsPerRun(100, func() {
+		srv.Step(time.Second)
+		c.Sense()
+		c.Iterate()
+	})
+	if allocs != 0 {
+		t.Errorf("Sense + Iterate allocates %v times, want 0", allocs)
+	}
+}
+
 func TestIterateWithoutSenseTakesFreshReading(t *testing.T) {
 	srv := testServer(t, 0.5)
 	srv.SetUtilization(1)

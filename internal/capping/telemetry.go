@@ -13,16 +13,16 @@ import (
 var settleBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 
 // controllerMetrics instruments one capping controller. Per-supply gauges
-// are cached so the per-second sensing path does no map-key building when
-// telemetry is on and nothing at all when it is off.
+// are cached by supply index so the per-second sensing path does no
+// map-key building when telemetry is on and nothing at all when it is off.
 type controllerMetrics struct {
 	enabled bool
 	id      string
 
 	budgetVec *telemetry.GaugeVec
 	powerVec  *telemetry.GaugeVec
-	budgetBy  map[string]*telemetry.Gauge
-	powerBy   map[string]*telemetry.Gauge
+	budgetBy  []*telemetry.Gauge
+	powerBy   []*telemetry.Gauge
 
 	throttle   *telemetry.Gauge
 	dcCap      *telemetry.Gauge
@@ -30,7 +30,7 @@ type controllerMetrics struct {
 	settle     *telemetry.Histogram
 }
 
-func newControllerMetrics(reg *telemetry.Registry, id string) controllerMetrics {
+func newControllerMetrics(reg *telemetry.Registry, id string, supplies int) controllerMetrics {
 	if reg == nil {
 		return controllerMetrics{}
 	}
@@ -44,8 +44,8 @@ func newControllerMetrics(reg *telemetry.Registry, id string) controllerMetrics 
 			"AC budget assigned to each supply (+Inf = unbudgeted).", "server", "supply"),
 		powerVec: reg.GaugeVec("capmaestro_capping_supply_power_watts",
 			"Measured AC power per supply at the last sensor sample.", "server", "supply"),
-		budgetBy: make(map[string]*telemetry.Gauge),
-		powerBy:  make(map[string]*telemetry.Gauge),
+		budgetBy: make([]*telemetry.Gauge, supplies),
+		powerBy:  make([]*telemetry.Gauge, supplies),
 		throttle: reg.GaugeVec("capmaestro_capping_throttle_level",
 			"Node-manager power-cap throttling level in [0,1].", "server").With(id),
 		dcCap: reg.GaugeVec("capmaestro_capping_dc_cap_watts",
@@ -58,28 +58,25 @@ func newControllerMetrics(reg *telemetry.Registry, id string) controllerMetrics 
 	}
 }
 
-func (m *controllerMetrics) budgetGauge(supplyID string) *telemetry.Gauge {
-	if !m.enabled {
-		return nil
-	}
-	g, ok := m.budgetBy[supplyID]
-	if !ok {
-		g = m.budgetVec.With(m.id, supplyID)
-		m.budgetBy[supplyID] = g
-	}
-	return g
+// budgetGauge returns supply i's budget gauge, registering it on first use.
+func (m *controllerMetrics) budgetGauge(i int, supplyID string) *telemetry.Gauge {
+	return m.gauge(m.budgetBy, m.budgetVec, i, supplyID)
 }
 
-func (m *controllerMetrics) powerGauge(supplyID string) *telemetry.Gauge {
+// powerGauge returns supply i's measured-power gauge, registering it on
+// first use.
+func (m *controllerMetrics) powerGauge(i int, supplyID string) *telemetry.Gauge {
+	return m.gauge(m.powerBy, m.powerVec, i, supplyID)
+}
+
+func (m *controllerMetrics) gauge(cache []*telemetry.Gauge, vec *telemetry.GaugeVec, i int, supplyID string) *telemetry.Gauge {
 	if !m.enabled {
 		return nil
 	}
-	g, ok := m.powerBy[supplyID]
-	if !ok {
-		g = m.powerVec.With(m.id, supplyID)
-		m.powerBy[supplyID] = g
+	if cache[i] == nil {
+		cache[i] = vec.With(m.id, supplyID)
 	}
-	return g
+	return cache[i]
 }
 
 // violationTolerance is the slack allowed before a supply over its budget

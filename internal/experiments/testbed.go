@@ -103,14 +103,14 @@ func Figure5(Options) (*Result, error) {
 			ctl.SetBudget("PS1", 150)
 		}
 		srv.Step(time.Second)
-		r := ctl.Sense()
+		r := ctl.Sense() // SupplyAC in Supplies() order: PS1, PS2
 		if t%8 == 0 {
 			ctl.Iterate()
 		}
 		rec.Record("PS1: Budget", now, float64(ctl.Budget("PS1")))
-		rec.Record("PS1: Power", now, float64(r.SupplyAC["PS1"]))
+		rec.Record("PS1: Power", now, float64(r.SupplyAC[0]))
 		rec.Record("PS2: Budget", now, float64(ctl.Budget("PS2")))
-		rec.Record("PS2: Power", now, float64(r.SupplyAC["PS2"]))
+		rec.Record("PS2: Power", now, float64(r.SupplyAC[1]))
 		rec.Record("DC Cap", now, float64(srv.EffectiveDCCap()))
 		rec.Record("Throttling (%)", now, r.Throttle*100)
 	}

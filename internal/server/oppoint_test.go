@@ -10,8 +10,9 @@ import (
 
 // recomputed derives the operating point and per-supply AC draw from
 // scratch — from Efficiency, RatedDC, Model and the supply states — the
-// way every reader used to before the server kept them as state.
-func recomputed(s *Server) (dc, ac power.Watts, throttle float64, supplyAC map[string]power.Watts) {
+// way every reader used to before the server kept them as state. supplyAC
+// is in Supplies() order.
+func recomputed(s *Server) (dc, ac power.Watts, throttle float64, supplyAC []power.Watts) {
 	eff, rated, m := s.Efficiency(), s.RatedDC(), s.Model()
 	u, unc := s.Utilization(), s.UncontrolledPower()
 	demand := eff.ACToDC(m.PowerAt(u)+unc, rated)
@@ -28,13 +29,12 @@ func recomputed(s *Server) (dc, ac power.Watts, throttle float64, supplyAC map[s
 			sum += sup.Split
 		}
 	}
-	supplyAC = map[string]power.Watts{}
 	for _, sup := range s.Supplies() {
 		var share float64
 		if sup.State == SupplyActive {
 			share = sup.Split / sum
 		}
-		supplyAC[sup.ID] = power.Watts(share) * ac
+		supplyAC = append(supplyAC, power.Watts(share)*ac)
 	}
 	return dc, ac, throttle, supplyAC
 }
@@ -68,6 +68,8 @@ func TestOperatingPointMatchesRecomputation(t *testing.T) {
 		if err := s.ConfigureHotSpare("b", 250, 300); err != nil {
 			t.Fatal(err)
 		}
+		ids := s.SupplyIDs()
+		var r Reading // reused across checks, as a capping controller does
 		check := func(op string) {
 			t.Helper()
 			dc, ac, th, supplyAC := recomputed(s)
@@ -75,12 +77,15 @@ func TestOperatingPointMatchesRecomputation(t *testing.T) {
 				t.Fatalf("seed %d after %s: (dc, ac, throttle) = (%v, %v, %v), recomputed (%v, %v, %v)",
 					seed, op, s.DCPower(), s.ACPower(), s.ThrottleLevel(), dc, ac, th)
 			}
-			for id, want := range supplyAC {
-				if got, _ := s.SupplyACPower(id); got != want {
-					t.Fatalf("seed %d after %s: supply %s draws %v, recomputed %v", seed, op, id, got, want)
+			for i, want := range supplyAC {
+				if got, _ := s.SupplyACPower(ids[i]); got != want {
+					t.Fatalf("seed %d after %s: supply %s draws %v, recomputed %v", seed, op, ids[i], got, want)
+				}
+				if got := s.SupplyACPowerAt(i); got != want {
+					t.Fatalf("seed %d after %s: supply %d draws %v by index, recomputed %v", seed, op, i, got, want)
 				}
 			}
-			r := s.ReadSensors()
+			s.ReadSensors(&r)
 			if r.DCPower != dc || r.Throttle != th {
 				t.Fatalf("seed %d after %s: sensors read dc %v throttle %v, recomputed %v %v",
 					seed, op, r.DCPower, r.Throttle, dc, th)
@@ -89,11 +94,11 @@ func TestOperatingPointMatchesRecomputation(t *testing.T) {
 				return
 			}
 			var total power.Watts
-			for id, want := range supplyAC {
-				if r.SupplyAC[id] != want {
-					t.Fatalf("seed %d after %s: sensor %s reads %v, recomputed %v", seed, op, id, r.SupplyAC[id], want)
+			for i, want := range supplyAC {
+				if r.SupplyAC[i] != want {
+					t.Fatalf("seed %d after %s: sensor %s reads %v, recomputed %v", seed, op, ids[i], r.SupplyAC[i], want)
 				}
-				total += r.SupplyAC[id]
+				total += r.SupplyAC[i]
 			}
 			if r.TotalAC != total {
 				t.Fatalf("seed %d after %s: sensor total %v, want %v", seed, op, r.TotalAC, total)

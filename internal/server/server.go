@@ -329,14 +329,7 @@ func (s *Server) ConfigureHotSpare(supplyID string, enterBelow, exitAbove power.
 	if exitAbove <= enterBelow {
 		return fmt.Errorf("server %s: hot-spare exit %v must exceed enter %v", s.id, exitAbove, enterBelow)
 	}
-	found := false
-	for _, sup := range s.supplies {
-		if sup.ID == supplyID {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if s.supplyIndex(supplyID) < 0 {
 		return fmt.Errorf("server %s: unknown supply %q", s.id, supplyID)
 	}
 	for i := range s.spares {
@@ -462,17 +455,9 @@ func (s *Server) refreshShares() {
 	}
 }
 
-// ActiveSupplyIDs lists the IDs of supplies currently carrying load, in
-// configuration order.
-func (s *Server) ActiveSupplyIDs() []string {
-	var ids []string
-	for _, sup := range s.supplies {
-		if sup.State == SupplyActive {
-			ids = append(ids, sup.ID)
-		}
-	}
-	return ids
-}
+// SupplyActive reports whether supply i (in Supplies() order) is
+// currently carrying load.
+func (s *Server) SupplyActive(i int) bool { return s.supplies[i].State == SupplyActive }
 
 // WorkingSupplies reports the number of active supplies (the paper's M).
 func (s *Server) WorkingSupplies() int {
@@ -485,43 +470,59 @@ func (s *Server) WorkingSupplies() int {
 	return n
 }
 
+// supplyIndex returns the position of the named supply in Supplies()
+// order, or -1.
+func (s *Server) supplyIndex(supplyID string) int {
+	for i, sup := range s.supplies {
+		if sup.ID == supplyID {
+			return i
+		}
+	}
+	return -1
+}
+
 // SupplyShare returns the renormalized split fraction r for the named
 // supply under the current supply states, and whether the supply exists.
 func (s *Server) SupplyShare(supplyID string) (float64, bool) {
-	for i, sup := range s.supplies {
-		if sup.ID == supplyID {
-			return s.shares[i], true
-		}
+	i := s.supplyIndex(supplyID)
+	if i < 0 {
+		return 0, false
 	}
-	return 0, false
+	return s.shares[i], true
 }
+
+// SupplyShareAt is SupplyShare for supply i in Supplies() order.
+func (s *Server) SupplyShareAt(i int) float64 { return s.shares[i] }
 
 // SupplyACPower returns the AC power drawn through the named supply.
 func (s *Server) SupplyACPower(supplyID string) (power.Watts, bool) {
-	share, ok := s.SupplyShare(supplyID)
-	if !ok {
+	i := s.supplyIndex(supplyID)
+	if i < 0 {
 		return 0, false
 	}
-	return power.Watts(share) * s.ACPower(), true
+	return s.SupplyACPowerAt(i), true
 }
+
+// SupplyACPowerAt is SupplyACPower for supply i in Supplies() order.
+func (s *Server) SupplyACPowerAt(i int) power.Watts { return power.Watts(s.shares[i]) * s.acPower }
 
 // SetSupplyState changes a supply's operating condition (fail a cord,
 // enter/leave standby). It returns an error for unknown supplies.
 func (s *Server) SetSupplyState(supplyID string, state SupplyState) error {
-	for i := range s.supplies {
-		if s.supplies[i].ID == supplyID {
-			s.supplies[i].State = state
-			s.refreshShares()
-			return nil
-		}
+	i := s.supplyIndex(supplyID)
+	if i < 0 {
+		return fmt.Errorf("server %s: unknown supply %q", s.id, supplyID)
 	}
-	return fmt.Errorf("server %s: unknown supply %q", s.id, supplyID)
+	s.supplies[i].State = state
+	s.refreshShares()
+	return nil
 }
 
 // Reading is one IPMI-style sensor sample.
 type Reading struct {
-	// SupplyAC maps supply ID to its measured AC input power.
-	SupplyAC map[string]power.Watts
+	// SupplyAC is the measured AC input power of each supply, in
+	// Supplies() order.
+	SupplyAC []power.Watts
 	// TotalAC is the summed AC input power.
 	TotalAC power.Watts
 	// DCPower is the measured total DC power.
@@ -530,26 +531,29 @@ type Reading struct {
 	Throttle float64
 }
 
-// ReadSensors samples the server's sensors, applying measurement noise when
-// configured.
-func (s *Server) ReadSensors() Reading {
-	r := Reading{
-		SupplyAC: make(map[string]power.Watts, len(s.supplies)),
-		DCPower:  s.dcPower,
-		Throttle: s.ThrottleLevel(),
+// ReadSensors samples the server's sensors into r, applying measurement
+// noise when configured. r.SupplyAC is resized to one entry per supply and
+// its backing array reused, so a caller that keeps one Reading samples
+// without allocating.
+func (s *Server) ReadSensors(r *Reading) {
+	if cap(r.SupplyAC) < len(s.supplies) {
+		r.SupplyAC = make([]power.Watts, len(s.supplies))
 	}
-	for i, sup := range s.supplies {
-		v := power.Watts(s.shares[i]) * s.acPower
+	r.SupplyAC = r.SupplyAC[:len(s.supplies)]
+	r.TotalAC = 0
+	r.DCPower = s.dcPower
+	r.Throttle = s.ThrottleLevel()
+	for i := range s.supplies {
+		v := s.SupplyACPowerAt(i)
 		if s.noise != nil && v > 0 {
 			v += power.Watts(s.noise.NormFloat64() * s.sigma)
 			if v < 0 {
 				v = 0
 			}
 		}
-		r.SupplyAC[sup.ID] = v
+		r.SupplyAC[i] = v
 		r.TotalAC += v
 	}
-	return r
 }
 
 // Efficiency exposes the server's AC/DC efficiency curve.

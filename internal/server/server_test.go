@@ -261,7 +261,8 @@ func TestUnknownSupply(t *testing.T) {
 func TestReadSensorsConsistent(t *testing.T) {
 	s := MustNew(dualCorded("s1"))
 	s.SetUtilization(0.8)
-	r := s.ReadSensors()
+	var r Reading
+	s.ReadSensors(&r)
 	if len(r.SupplyAC) != 2 {
 		t.Fatalf("sensor supplies = %d, want 2", len(r.SupplyAC))
 	}
@@ -280,6 +281,29 @@ func TestReadSensorsConsistent(t *testing.T) {
 	}
 }
 
+func TestReadSensorsReusesReading(t *testing.T) {
+	cfg := dualCorded("s1")
+	cfg.NoiseSigma, cfg.NoiseSeed = 2, 7
+	s := MustNew(cfg)
+	s.SetUtilization(0.7)
+	var r Reading
+	s.ReadSensors(&r)
+	buf := &r.SupplyAC[0]
+	if allocs := testing.AllocsPerRun(100, func() { s.ReadSensors(&r) }); allocs != 0 {
+		t.Errorf("ReadSensors into a reused reading allocates %v times, want 0", allocs)
+	}
+	if &r.SupplyAC[0] != buf || len(r.SupplyAC) != 2 {
+		t.Error("ReadSensors did not reuse the reading's SupplyAC")
+	}
+	// A longer slice left over from another server is cut to this one's
+	// supplies.
+	r.SupplyAC = make([]power.Watts, 5)
+	s.ReadSensors(&r)
+	if len(r.SupplyAC) != 2 {
+		t.Errorf("reading has %d supplies, want 2", len(r.SupplyAC))
+	}
+}
+
 func TestSensorNoiseIsBoundedAndReproducible(t *testing.T) {
 	mk := func() *Server {
 		cfg := dualCorded("s1")
@@ -290,10 +314,12 @@ func TestSensorNoiseIsBoundedAndReproducible(t *testing.T) {
 	s1, s2 := mk(), mk()
 	s1.SetUtilization(1)
 	s2.SetUtilization(1)
-	r1 := s1.ReadSensors()
-	r2 := s2.ReadSensors()
-	for id, v := range r1.SupplyAC {
-		if r2.SupplyAC[id] != v {
+	var r1, r2 Reading
+	s1.ReadSensors(&r1)
+	s2.ReadSensors(&r2)
+	for i, v := range r1.SupplyAC {
+		id := s1.SupplyIDs()[i]
+		if r2.SupplyAC[i] != v {
 			t.Error("same seed should reproduce identical noise")
 		}
 		truth, _ := s1.SupplyACPower(id)
@@ -363,11 +389,12 @@ func TestDemandEstimatorIntegration(t *testing.T) {
 	est := power.NewDemandEstimator(power.DefaultDemandWindow)
 	lo, hi := s.DCCapRange()
 	caps := []power.Watts{hi, lo + (hi-lo)/2, lo + (hi-lo)/4, lo + (hi-lo)/3}
+	var r Reading
 	for _, c := range caps {
 		s.SetDCCap(c)
 		for i := 0; i < 8; i++ {
 			s.Step(time.Second)
-			r := s.ReadSensors()
+			s.ReadSensors(&r)
 			est.Observe(r.TotalAC, r.Throttle)
 		}
 	}

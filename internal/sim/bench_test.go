@@ -10,21 +10,17 @@ import (
 	"capmaestro/internal/topology"
 )
 
-// BenchmarkSimPeriod times one 8-tick control period — eight rounds of
-// actuation, sensing, breaker heat and SLO scoring plus one allocation —
-// over a mirrored 2-feed fleet of 4 RPPs × 9 racks × 30 dual-corded
-// servers (1 080 servers), with feed X down so every rack is capped on Y.
-func BenchmarkSimPeriod(b *testing.B) {
-	const (
-		rpps, racksPerRPP, perRack = 4, 9, 30
-		rackRating                 = 10800
-	)
+// mirroredFleet builds a 2-feed fleet of rpps RPPs × racksPerRPP racks ×
+// perRack dual-corded servers, each server corded to the same rack
+// position on feeds X and Y with an uneven split.
+func mirroredFleet(tb testing.TB, rpps, racksPerRPP, perRack int, rackRating power.Watts) (*topology.Topology, map[string]ServerSpec) {
+	tb.Helper()
 	servers := make(map[string]ServerSpec)
 	mkFeed := func(feed topology.FeedID) *topology.Node {
 		root := topology.NewNode(string(feed), topology.KindUtility, 0)
 		root.Feed = feed
 		for r := 0; r < rpps; r++ {
-			rpp := root.AddChild(topology.NewNode(fmt.Sprintf("%s-rpp%d", feed, r), topology.KindRPP, racksPerRPP*rackRating))
+			rpp := root.AddChild(topology.NewNode(fmt.Sprintf("%s-rpp%d", feed, r), topology.KindRPP, power.Watts(racksPerRPP)*rackRating))
 			for c := 0; c < racksPerRPP; c++ {
 				rack := rpp.AddChild(topology.NewNode(fmt.Sprintf("%s-rpp%d-rack%d", feed, r, c), topology.KindCDU, rackRating))
 				for i := 0; i < perRack; i++ {
@@ -42,8 +38,21 @@ func BenchmarkSimPeriod(b *testing.B) {
 	}
 	topo, err := topology.New(mkFeed("X"), mkFeed("Y"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return topo, servers
+}
+
+// BenchmarkSimPeriod times one 8-tick control period — eight rounds of
+// actuation, sensing, breaker heat and SLO scoring plus one allocation —
+// over a mirrored 2-feed fleet of 4 RPPs × 9 racks × 30 dual-corded
+// servers (1 080 servers), with feed X down so every rack is capped on Y.
+func BenchmarkSimPeriod(b *testing.B) {
+	const (
+		rpps, racksPerRPP, perRack = 4, 9, 30
+		rackRating                 = 10800
+	)
+	topo, servers := mirroredFleet(b, rpps, racksPerRPP, perRack, rackRating)
 	tracker, err := slo.New(slo.Config{})
 	if err != nil {
 		b.Fatal(err)

@@ -91,7 +91,7 @@ func (s *Simulator) Drain(nodeID string) error {
 		if _, drained := s.drainedUtil[id]; drained {
 			continue
 		}
-		srv := s.servers[id]
+		srv := s.Server(id)
 		s.drainedUtil[id] = srv.Utilization()
 		srv.SetUtilization(0)
 	}
@@ -111,7 +111,7 @@ func (s *Simulator) Uncordon(nodeID string) error {
 	}
 	for _, id := range ids {
 		if u, drained := s.drainedUtil[id]; drained {
-			s.servers[id].SetUtilization(u)
+			s.Server(id).SetUtilization(u)
 			delete(s.drainedUtil, id)
 		}
 		delete(s.cordoned, id)

@@ -105,22 +105,31 @@ type Simulator struct {
 	period      time.Duration
 	capCfg      capping.Config
 
-	servers     map[string]*server.Server
-	controllers map[string]*capping.Controller
-	supplyFeed  map[string]topology.FeedID
-	supplyNode  map[string]*topology.Node
-	breakers    map[string]*breaker.Breaker
-	breakerFeed map[string]topology.FeedID
-	feedFailed  map[topology.FeedID]bool
+	// The plant is addressed by index, in tables New builds once: the
+	// topology and the server set never change afterwards. servers,
+	// controllers and readings (each controller's last Sense) are in
+	// serverIDs order.
+	serverIDs   []string
+	serverAt    map[string]int
+	servers     []*server.Server
+	controllers []*capping.Controller
+	readings    []server.Reading
 
-	// serverIDs and breakerIDs are the sorted keys of servers and
-	// breakers, built once in New: neither set changes afterwards.
-	serverIDs  []string
-	breakerIDs []string
+	supplies []supplySlot   // in server order, then Supplies() order
+	supplyAt map[string]int // supply ID → index in supplies
+	budgeted []bool         // per-period scratch, by supplies index
 
-	lastReadings map[string]server.Reading
-	lastAllocs   map[topology.FeedID]*core.Allocation
-	lastSPO      *core.SPOReport
+	// nodeSupplies lists every topology node's supplies in Walk order, so
+	// a load sums in the same order a walk does.
+	nodeSupplies map[string][]supplyRef
+
+	breakers  []breakerSlot // sorted by node ID
+	riskFeeds []string      // the feeds breakers protect, sorted
+	feedRisk  []float64     // per-tick scratch, by riskFeeds index
+
+	feedFailed map[topology.FeedID]bool
+	lastAllocs map[topology.FeedID]*core.Allocation
+	lastSPO    *core.SPOReport
 
 	// operator state (see operator.go)
 	cordoned    map[string]bool        // serverID → closed to new work
@@ -161,9 +170,29 @@ type event struct {
 	fn   func(*Simulator)
 }
 
+// supplyRef addresses one supply: its server's index in serverIDs and its
+// index in that server's Supplies().
+type supplyRef struct{ srv, sup int }
+
+// supplySlot is one row of the supply table.
+type supplySlot struct {
+	id   string
+	feed topology.FeedID
+	supplyRef
+}
+
+// breakerSlot is one rated distribution node's breaker.
+type breakerSlot struct {
+	id       string
+	b        *breaker.Breaker
+	feed     int         // index into riskFeeds
+	supplies []supplyRef // the node's supplies, as in nodeSupplies
+}
+
 // New validates the configuration and builds a simulator at t=0. The
 // topology and the server set are fixed from here on: the breakers and the
-// sorted server and breaker ID lists are built once, here, and rely on it.
+// index tables over servers, supplies and topology nodes are built once,
+// here, and rely on it.
 func New(cfg Config) (*Simulator, error) {
 	if cfg.Topology == nil {
 		return nil, errors.New("sim: nil topology")
@@ -187,14 +216,10 @@ func New(cfg Config) (*Simulator, error) {
 		rootBudgets:   cfg.RootBudgets,
 		period:        period,
 		capCfg:        cfg.Capping,
-		servers:       make(map[string]*server.Server),
-		controllers:   make(map[string]*capping.Controller),
-		supplyFeed:    make(map[string]topology.FeedID),
-		supplyNode:    make(map[string]*topology.Node),
-		breakers:      make(map[string]*breaker.Breaker),
-		breakerFeed:   make(map[string]topology.FeedID),
+		serverAt:      make(map[string]int),
+		supplyAt:      make(map[string]int),
+		nodeSupplies:  make(map[string][]supplyRef),
 		feedFailed:    make(map[topology.FeedID]bool),
-		lastReadings:  make(map[string]server.Reading),
 		lastAllocs:    make(map[topology.FeedID]*core.Allocation),
 		cordoned:      make(map[string]bool),
 		drainedUtil:   make(map[string]float64),
@@ -216,9 +241,10 @@ func New(cfg Config) (*Simulator, error) {
 			"Current simulation clock."),
 	}
 
-	// Build servers from topology supplies + specs.
+	// Build servers from topology supplies + specs, in sorted ID order.
 	byServer := cfg.Topology.SuppliesByServer()
-	for serverID, supplyNodes := range byServer {
+	s.serverIDs = sortedKeys(byServer)
+	for i, serverID := range s.serverIDs {
 		spec, ok := cfg.Servers[serverID]
 		if !ok {
 			return nil, fmt.Errorf("sim: topology references server %q with no spec", serverID)
@@ -228,10 +254,10 @@ func New(cfg Config) (*Simulator, error) {
 			model = power.DefaultServerModel()
 		}
 		var supplies []server.Supply
-		for _, sn := range supplyNodes {
+		for j, sn := range byServer[serverID] {
 			supplies = append(supplies, server.Supply{ID: sn.ID, Split: sn.Split})
-			s.supplyFeed[sn.ID] = sn.Feed
-			s.supplyNode[sn.ID] = sn
+			s.supplyAt[sn.ID] = len(s.supplies)
+			s.supplies = append(s.supplies, supplySlot{id: sn.ID, feed: sn.Feed, supplyRef: supplyRef{i, j}})
 		}
 		srv, err := server.New(server.Config{
 			ID:                serverID,
@@ -248,7 +274,6 @@ func New(cfg Config) (*Simulator, error) {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		srv.SetUtilization(spec.Utilization)
-		s.servers[serverID] = srv
 		capCfg := cfg.Capping
 		capCfg.Telemetry = cfg.Telemetry
 		capCfg.ID = serverID
@@ -256,29 +281,67 @@ func New(cfg Config) (*Simulator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		s.controllers[serverID] = ctl
+		s.serverAt[serverID] = i
+		s.servers = append(s.servers, srv)
+		s.controllers = append(s.controllers, ctl)
 	}
 	for id := range cfg.Servers {
 		if _, ok := byServer[id]; !ok {
 			return nil, fmt.Errorf("sim: spec for server %q has no supplies in topology", id)
 		}
 	}
+	s.readings = make([]server.Reading, len(s.servers))
+	s.budgeted = make([]bool, len(s.supplies))
 
-	// One breaker per rated distribution node, remembering which feed each
-	// breaker protects for per-feed trip-risk scoring.
+	// Every node's supplies in Walk order, then one breaker per rated
+	// distribution node, remembering which feed each breaker protects for
+	// per-feed trip-risk scoring.
+	breakerFeed := make(map[string]string)
 	for _, root := range cfg.Topology.Roots() {
-		feed := root.Feed
+		var flat []supplyRef
 		root.Walk(func(n *topology.Node) bool {
-			if n.Kind != topology.KindSupply && n.Rating > 0 {
-				s.breakers[n.ID] = breaker.MustNew(n.Rating, breaker.Config{})
-				s.breakerFeed[n.ID] = feed
+			switch {
+			case n.Kind == topology.KindSupply:
+				flat = append(flat, s.supplies[s.supplyAt[n.ID]].supplyRef)
+			case n.Rating > 0:
+				breakerFeed[n.ID] = string(root.Feed)
 			}
 			return true
 		})
+		s.spanSupplies(root, flat)
 	}
-	s.serverIDs = sortedKeys(s.servers)
-	s.breakerIDs = sortedKeys(s.breakers)
+	riskFeeds := make(map[string]bool)
+	for _, feed := range breakerFeed {
+		riskFeeds[feed] = true
+	}
+	s.riskFeeds = sortedKeys(riskFeeds)
+	s.feedRisk = make([]float64, len(s.riskFeeds))
+	for _, id := range sortedKeys(breakerFeed) {
+		s.breakers = append(s.breakers, breakerSlot{
+			id:       id,
+			b:        breaker.MustNew(cfg.Topology.Node(id).Rating, breaker.Config{}),
+			feed:     sort.SearchStrings(s.riskFeeds, breakerFeed[id]),
+			supplies: s.nodeSupplies[id],
+		})
+	}
 	return s, nil
+}
+
+// spanSupplies records the supplies of n and of every node beneath it.
+// flat holds n's root's supplies in Walk order, starting at n's first; a
+// pre-order walk lists a subtree's supplies contiguously, so each node's
+// list is one run of it. It returns the part of flat after n's subtree.
+func (s *Simulator) spanSupplies(n *topology.Node, flat []supplyRef) []supplyRef {
+	rest := flat
+	if n.Kind == topology.KindSupply {
+		rest = rest[1:]
+	}
+	for _, c := range n.Children() {
+		rest = s.spanSupplies(c, rest)
+	}
+	k := len(flat) - len(rest)
+	s.nodeSupplies[n.ID] = flat[:k:k]
+	return rest
 }
 
 func toSet(items []string) map[string]bool {
@@ -305,11 +368,19 @@ func (s *Simulator) Recorder() *trace.Recorder { return s.rec }
 func (s *Simulator) SLO() *slo.Tracker { return s.slo }
 
 // Server returns a simulated server by ID (nil if absent).
-func (s *Simulator) Server(id string) *server.Server { return s.servers[id] }
+func (s *Simulator) Server(id string) *server.Server {
+	if i, ok := s.serverAt[id]; ok {
+		return s.servers[i]
+	}
+	return nil
+}
 
 // Controller returns a server's capping controller (nil if absent).
 func (s *Simulator) Controller(serverID string) *capping.Controller {
-	return s.controllers[serverID]
+	if i, ok := s.serverAt[serverID]; ok {
+		return s.controllers[i]
+	}
+	return nil
 }
 
 // LastAllocation returns the most recent allocation for a feed.
@@ -346,8 +417,8 @@ func (s *Simulator) Schedule(at time.Duration, name string, fn func(*Simulator))
 
 // SetUtilization changes a server's workload utilization immediately.
 func (s *Simulator) SetUtilization(serverID string, u float64) error {
-	srv, ok := s.servers[serverID]
-	if !ok {
+	srv := s.Server(serverID)
+	if srv == nil {
 		return fmt.Errorf("sim: unknown server %q", serverID)
 	}
 	srv.SetUtilization(u)
@@ -384,8 +455,8 @@ func (s *Simulator) feedLoad(feed topology.FeedID) power.Watts {
 // SetPriority changes a server's priority; the next control period
 // re-budgets with it (proactive priority propagation from a scheduler).
 func (s *Simulator) SetPriority(serverID string, p core.Priority) error {
-	srv, ok := s.servers[serverID]
-	if !ok {
+	srv := s.Server(serverID)
+	if srv == nil {
 		return fmt.Errorf("sim: unknown server %q", serverID)
 	}
 	srv.SetPriority(server.Priority(p))
@@ -416,12 +487,11 @@ func (s *Simulator) RestoreFeed(feed topology.FeedID) {
 }
 
 func (s *Simulator) setFeedSupplies(feed topology.FeedID, state server.SupplyState) {
-	for supplyID, f := range s.supplyFeed {
-		if f != feed {
+	for _, sup := range s.supplies {
+		if sup.feed != feed {
 			continue
 		}
-		sn := s.supplyNode[supplyID]
-		if err := s.servers[sn.ServerID].SetSupplyState(supplyID, state); err != nil {
+		if err := s.servers[sup.srv].SetSupplyState(sup.id, state); err != nil {
 			panic(err) // supply/server wiring is validated at construction
 		}
 	}
@@ -433,14 +503,14 @@ func (s *Simulator) FeedFailed(feed topology.FeedID) bool { return s.feedFailed[
 // SetSupplyState fails, restores, or stands by a single power supply
 // (e.g. one pulled cord or a dead PSU, as opposed to a whole-feed outage).
 func (s *Simulator) SetSupplyState(supplyID string, state server.SupplyState) error {
-	sn, ok := s.supplyNode[supplyID]
+	k, ok := s.supplyAt[supplyID]
 	if !ok {
 		return fmt.Errorf("sim: unknown supply %q", supplyID)
 	}
 	if state == server.SupplyFailed {
 		s.slo.RecordFault(s.now, "supply-fail:"+supplyID)
 	}
-	return s.servers[sn.ServerID].SetSupplyState(supplyID, state)
+	return s.servers[s.supplies[k].srv].SetSupplyState(supplyID, state)
 }
 
 // TrippedBreakers lists distribution nodes whose breakers have tripped, in
@@ -451,21 +521,18 @@ func (s *Simulator) TrippedBreakers() []string {
 }
 
 // NodeLoad computes the electrical load currently flowing through a
-// topology node: the sum of supply AC draws beneath it.
+// topology node: the sum of supply AC draws beneath it, 0 for an unknown
+// node.
 func (s *Simulator) NodeLoad(nodeID string) power.Watts {
-	n := s.topo.Node(nodeID)
-	if n == nil {
-		return 0
-	}
+	return s.load(s.nodeSupplies[nodeID])
+}
+
+// load sums the AC draws of the given supplies, in order.
+func (s *Simulator) load(refs []supplyRef) power.Watts {
 	var load power.Watts
-	n.Walk(func(m *topology.Node) bool {
-		if m.Kind == topology.KindSupply {
-			if p, ok := s.servers[m.ServerID].SupplyACPower(m.ID); ok {
-				load += p
-			}
-		}
-		return true
-	})
+	for _, r := range refs {
+		load += s.servers[r.srv].SupplyACPowerAt(r.sup)
+	}
 	return load
 }
 
@@ -487,9 +554,9 @@ func (s *Simulator) tick() {
 	}
 
 	// Actuation + per-second sensing.
-	for _, id := range s.serverIDs {
-		s.servers[id].Step(time.Second)
-		s.lastReadings[id] = s.controllers[id].Sense()
+	for i, srv := range s.servers {
+		srv.Step(time.Second)
+		s.readings[i] = s.controllers[i].Sense()
 	}
 
 	// Control period boundary: gather, allocate, budget, iterate, then
@@ -513,20 +580,25 @@ func (s *Simulator) tick() {
 // live feed tree, then applies the resulting per-supply budgets to the
 // capping controllers and runs their PI iterations.
 func (s *Simulator) controlPeriod() {
-	src := func(supplyID, serverID string) (core.LeafInfo, bool) {
-		srv := s.servers[serverID]
-		share, ok := srv.SupplyShare(supplyID)
-		if !ok || share <= 0 {
+	src := func(supplyID, _ string) (core.LeafInfo, bool) {
+		k, ok := s.supplyAt[supplyID]
+		if !ok {
+			return core.LeafInfo{}, false
+		}
+		ref := s.supplies[k].supplyRef
+		srv := s.servers[ref.srv]
+		share := srv.SupplyShareAt(ref.sup)
+		if share <= 0 {
 			return core.LeafInfo{}, false
 		}
 		// Prefer the measured split ("we adjust it in practice based on
 		// how the load is actually split", Section 4.3.1).
-		if r, ok := s.measuredShare(serverID, supplyID); ok {
+		if r, ok := s.measuredShare(ref); ok {
 			share = r
 		}
-		demand, ok := s.controllers[serverID].Demand()
+		demand, ok := s.controllers[ref.srv].Demand()
 		if !ok {
-			demand = s.lastReadings[serverID].TotalAC
+			demand = s.readings[ref.srv].TotalAC
 		}
 		capMin, capMax := srv.Envelope()
 		return core.LeafInfo{
@@ -615,23 +687,23 @@ func (s *Simulator) controlPeriod() {
 
 	// Apply budgets: supplies present in a tree get their allocation;
 	// supplies on failed feeds lose their budgets.
-	budgeted := make(map[string]bool)
+	clear(s.budgeted)
 	for i, a := range allocs {
 		s.lastAllocs[feeds[i]] = a
 		for supplyID, b := range a.SupplyBudgets {
-			serverID := s.supplyNode[supplyID].ServerID
-			s.controllers[serverID].SetBudget(supplyID, b)
-			budgeted[supplyID] = true
+			k := s.supplyAt[supplyID]
+			s.controllers[s.supplies[k].srv].SetBudget(supplyID, b)
+			s.budgeted[k] = true
 		}
 	}
-	for supplyID, sn := range s.supplyNode {
-		if !budgeted[supplyID] {
-			s.controllers[sn.ServerID].SetBudget(supplyID, capping.Unbudgeted)
+	for k, sup := range s.supplies {
+		if !s.budgeted[k] {
+			s.controllers[sup.srv].SetBudget(sup.id, capping.Unbudgeted)
 		}
 	}
 
-	for _, id := range s.serverIDs {
-		s.controllers[id].Iterate()
+	for _, c := range s.controllers {
+		c.Iterate()
 	}
 
 	if pt != nil {
@@ -655,16 +727,12 @@ func (s *Simulator) controlPeriod() {
 
 // measuredShare derives a supply's live share of its server's load from the
 // last sensor reading.
-func (s *Simulator) measuredShare(serverID, supplyID string) (float64, bool) {
-	r, ok := s.lastReadings[serverID]
-	if !ok || r.TotalAC <= 0 {
+func (s *Simulator) measuredShare(ref supplyRef) (float64, bool) {
+	r := s.readings[ref.srv]
+	if r.TotalAC <= 0 {
 		return 0, false
 	}
-	p, ok := r.SupplyAC[supplyID]
-	if !ok {
-		return 0, false
-	}
-	share := float64(p / r.TotalAC)
+	share := float64(r.SupplyAC[ref.sup] / r.TotalAC)
 	if share <= 0 {
 		return 0, false
 	}
@@ -685,66 +753,69 @@ const safetyTolerance = 0.005
 // verdict to the open exposure window.
 func (s *Simulator) updateBreakers() {
 	var (
-		feedRisk   map[topology.FeedID]float64
 		minTTT     time.Duration
 		overloaded bool
 	)
-	if s.slo != nil {
-		feedRisk = make(map[topology.FeedID]float64)
+	scoring := s.slo != nil
+	if scoring {
+		// A feed none of whose breakers reports a risk above zero gets no
+		// SetTripRisk this tick, so the tracker keeps its previous value.
+		for i := range s.feedRisk {
+			s.feedRisk[i] = noRisk
+		}
 	}
-	for _, id := range s.breakerIDs {
-		b := s.breakers[id]
-		if b.Tripped() {
-			if feedRisk != nil {
-				feedRisk[s.breakerFeed[id]] = 1
+	for i := range s.breakers {
+		br := &s.breakers[i]
+		if br.b.Tripped() {
+			if scoring {
+				s.feedRisk[br.feed] = 1
 			}
 			continue
 		}
-		load := s.NodeLoad(id)
-		if b.Apply(load, time.Second) {
-			s.trippedOrder = append(s.trippedOrder, id)
+		load := s.load(br.supplies)
+		if br.b.Apply(load, time.Second) {
+			s.trippedOrder = append(s.trippedOrder, br.id)
 			s.metBreakerTrips.Inc()
 			if s.log != nil {
-				s.log.Warn("breaker tripped", "node", id, "t", s.now)
+				s.log.Warn("breaker tripped", "node", br.id, "t", s.now)
 			}
-			s.slo.RecordFault(s.now, "breaker-trip:"+id)
-			if feedRisk != nil {
-				feedRisk[s.breakerFeed[id]] = 1
+			s.slo.RecordFault(s.now, "breaker-trip:"+br.id)
+			if scoring {
+				s.feedRisk[br.feed] = 1
 			}
-			s.cascadeTrip(id)
+			s.cascadeTrip(br.id)
 			continue
 		}
-		if feedRisk == nil {
+		if !scoring {
 			continue
 		}
-		rs := b.RiskSnapshot(load)
-		feed := s.breakerFeed[id]
-		if rs.Risk > feedRisk[feed] {
-			feedRisk[feed] = rs.Risk
+		rs := br.b.RiskSnapshot(load)
+		if rs.Risk > max(s.feedRisk[br.feed], 0) {
+			s.feedRisk[br.feed] = rs.Risk
 		}
-		if float64(load) > float64(b.Rating())*(1+safetyTolerance) {
+		if float64(load) > float64(br.b.Rating())*(1+safetyTolerance) {
 			overloaded = true
 			// Normalize the exposure against the cold-start trip time at
 			// this overload — the quantity the paper's 10× claim compares
 			// capping latency to.
-			if ttt, ok := b.TimeToTrip(load); ok && ttt > 0 && (minTTT == 0 || ttt < minTTT) {
+			if ttt, ok := br.b.TimeToTrip(load); ok && ttt > 0 && (minTTT == 0 || ttt < minTTT) {
 				minTTT = ttt
 			}
 		}
 	}
-	if s.slo == nil {
+	if !scoring {
 		return
 	}
-	feeds := make([]string, 0, len(feedRisk))
-	for feed := range feedRisk {
-		feeds = append(feeds, string(feed))
-	}
-	sort.Strings(feeds)
-	for _, feed := range feeds {
-		s.slo.SetTripRisk(feed, feedRisk[topology.FeedID(feed)])
+	for i, feed := range s.riskFeeds {
+		if s.feedRisk[i] != noRisk {
+			s.slo.SetTripRisk(feed, s.feedRisk[i])
+		}
 	}
 	s.slo.ObserveExposure(s.now, !overloaded && s.budgetsRespected(), minTTT)
 }
+
+// noRisk marks a feed with no risk to report this tick.
+const noRisk = -1.0
 
 // budgetsRespected reports whether every live feed with a contractual
 // budget is measuring at or under it (plus tolerance) — the "measured
@@ -781,11 +852,11 @@ func (s *Simulator) evalSLOPeriod() {
 		return
 	}
 	samples := make([]slo.Sample, 0, len(s.serverIDs))
-	for _, id := range s.serverIDs {
+	for i, id := range s.serverIDs {
 		samples = append(samples, slo.Sample{
 			Signal: slo.SignalCapViolationStreak,
 			Label:  id,
-			Value:  float64(s.controllers[id].ViolationStreak()),
+			Value:  float64(s.controllers[i].ViolationStreak()),
 		})
 	}
 	s.slo.EvalPeriod(s.now, samples...)
@@ -798,7 +869,7 @@ func (s *Simulator) cascadeTrip(nodeID string) {
 	}
 	n.Walk(func(m *topology.Node) bool {
 		if m.Kind == topology.KindSupply {
-			if err := s.servers[m.ServerID].SetSupplyState(m.ID, server.SupplyFailed); err != nil {
+			if err := s.Server(m.ServerID).SetSupplyState(m.ID, server.SupplyFailed); err != nil {
 				panic(err)
 			}
 		}
@@ -812,20 +883,19 @@ func (s *Simulator) recordTraces() {
 		s.rec.Record("node:"+id, s.now, float64(s.NodeLoad(id)))
 	}
 	for id := range s.traceSupplies {
-		sn := s.supplyNode[id]
-		if sn == nil {
+		k, ok := s.supplyAt[id]
+		if !ok {
 			continue
 		}
-		if p, ok := s.servers[sn.ServerID].SupplyACPower(id); ok {
-			s.rec.Record("supply:"+id+":power", s.now, float64(p))
-		}
-		b := s.controllers[sn.ServerID].Budget(id)
+		sup := s.supplies[k]
+		s.rec.Record("supply:"+id+":power", s.now, float64(s.servers[sup.srv].SupplyACPowerAt(sup.sup)))
+		b := s.controllers[sup.srv].Budget(id)
 		if b != capping.Unbudgeted {
 			s.rec.Record("supply:"+id+":budget", s.now, float64(b))
 		}
 	}
 	for id := range s.traceServers {
-		srv := s.servers[id]
+		srv := s.Server(id)
 		if srv == nil {
 			continue
 		}
