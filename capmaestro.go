@@ -388,8 +388,9 @@ type (
 	ControlPlaneOption = controlplane.Option
 	// PeriodStats summarizes one room control period.
 	PeriodStats = controlplane.PeriodStats
-	// Aggregator is a mid-level hierarchy worker: a RackClient toward its
-	// parent, a room worker toward its children.
+	// Aggregator is the control plane's one tier type: a RackClient toward
+	// its parent that gathers, holds and pushes for its children. A room
+	// worker is one Aggregator at the root.
 	Aggregator = controlplane.Aggregator
 	// Hierarchy is a sharded room → aggregator → rack control plane built
 	// by BuildHierarchy.

@@ -1,15 +1,20 @@
 package controlplane
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"log/slog"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"capmaestro/internal/core"
 	"capmaestro/internal/power"
+	"capmaestro/internal/telemetry"
 )
 
 // threeLevelHierarchy builds room → 2 rows → 2 racks each → 2 servers each
@@ -256,6 +261,60 @@ func TestAggregatorHoldsNeverGatheredChild(t *testing.T) {
 	}
 	if b := darkWorker.LastBudget(); b < 270 {
 		t.Errorf("recovered child budget = %v, want at least its Pcap_min", b)
+	}
+}
+
+// TestAggregatorCancelledGatherIsNotAnOutage: a gather cancelled
+// mid-wave — a shutdown reaching an aggregator through its parent — is
+// not a child outage. The aggregator returns the context's error and
+// commits nothing: no gather error, no staleness, no failure log.
+func TestAggregatorCancelledGatherIsNotAnOutage(t *testing.T) {
+	okWorker, err := NewRackWorker("ok", core.NewShifting("ok", 0, leaf("a", "A", 0, 400)),
+		core.GlobalPriority, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := &blockingClient{started: make(chan struct{}, 1)}
+	tree := core.NewShifting("agg", 0,
+		core.NewProxy("ok", core.NewSummary()),
+		core.NewProxy("b", core.NewSummary()),
+	)
+	reg := telemetry.NewRegistry()
+	var logs bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&logs, nil))
+	agg, err := NewAggregator(tree, core.GlobalPriority, map[string]RackClient{
+		"ok": LocalClient{Worker: okWorker},
+		"b":  block,
+	}, WithTelemetry(reg), WithLogger(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-block.started
+		cancel()
+	}()
+	if _, _, err := agg.GatherDigest(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled gather returned %v, want context.Canceled", err)
+	}
+	if stats := agg.LastStats(); stats != (PeriodStats{}) {
+		t.Errorf("cancelled gather committed stats %+v", stats)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`capmaestro_controlplane_level_gather_errors_total{level="1"} 0`,
+		`capmaestro_controlplane_level_gather_seconds_count{level="1"} 0`,
+		`capmaestro_controlplane_level_unseen_children{level="1"} 2`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q\n%s", want, sb.String())
+		}
+	}
+	if logs.Len() != 0 {
+		t.Errorf("cancelled gather logged:\n%s", logs.String())
 	}
 }
 

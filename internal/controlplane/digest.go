@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"context"
-	"sort"
 
 	"capmaestro/internal/core"
 	"capmaestro/internal/fleetobs"
@@ -13,7 +12,7 @@ import (
 // piggyback a fleet observability digest on gathers. RackWorker,
 // Aggregator, LocalClient, TCPClient, and RackHandle all implement it;
 // plain RackClients still work — the caller synthesizes a single-rack
-// digest from the summary instead (see digestMerger.note).
+// digest from the summary instead (see rackSelfDigest).
 type DigestGatherer interface {
 	GatherDigest(ctx context.Context) (core.Summary, *fleetobs.StatDigest, error)
 }
@@ -79,57 +78,4 @@ func rackSelfDigest(d *fleetobs.StatDigest, id string, s *core.Summary, budget p
 			HeadroomW: headroom,
 		})
 	}
-}
-
-// digestMerger folds child digests into one rollup per gather wave. It
-// keeps a per-child scratch digest so steady state reuses every buffer:
-// note copies (or synthesizes) each child's digest, fold merges them in
-// deterministic child order and appends this tier's own level row.
-type digestMerger struct {
-	children map[string]*fleetobs.StatDigest
-	order    []string
-	acc      fleetobs.StatDigest
-}
-
-// reset forgets the previous wave's children (their scratch digests are
-// kept for reuse).
-func (m *digestMerger) reset() {
-	m.order = m.order[:0]
-}
-
-// note records one child's contribution: its own digest when it sent one,
-// else a single-rack digest synthesized from the summary, so a fleet
-// built from digest-less workers still rolls up watt-for-watt.
-func (m *digestMerger) note(id string, dig *fleetobs.StatDigest, s *core.Summary, budget power.Watts, haveBudget bool) {
-	if m.children == nil {
-		m.children = make(map[string]*fleetobs.StatDigest)
-	}
-	d := m.children[id]
-	if d == nil {
-		d = &fleetobs.StatDigest{}
-		m.children[id] = d
-	}
-	if dig != nil {
-		d.CopyFrom(dig)
-	} else {
-		rackSelfDigest(d, id, s, budget, haveBudget)
-	}
-	m.order = append(m.order, id)
-}
-
-// fold merges every noted child into the accumulator (sorted by child ID,
-// so the merge order — and therefore float rounding — is deterministic)
-// and stamps this tier's level row on top. The returned digest is the
-// merger's scratch accumulator: copy it out before the next fold.
-func (m *digestMerger) fold(own fleetobs.LevelStats) *fleetobs.StatDigest {
-	sort.Strings(m.order)
-	m.acc.Reset()
-	for _, id := range m.order {
-		m.acc.Merge(m.children[id])
-	}
-	if own.Level == 0 {
-		own.Level = m.acc.NextLevel()
-	}
-	m.acc.AddLevel(&own)
-	return &m.acc
 }

@@ -610,7 +610,7 @@ func TestPushDropOnSharedConnection(t *testing.T) {
 		if got := c.met.deltaHits.Value(); got != hits {
 			t.Errorf("period %d: %v delta hits so far, want %v", k, got, hits)
 		}
-		if got := room.proxies["hr00"].Proxy; !summariesWithin(got, &want, 0) {
+		if got := room.tier.proxies["hr00"].Proxy; !summariesWithin(got, &want, 0) {
 			t.Errorf("period %d: room holds summary %+v, want %+v", k, *got, want)
 		}
 	}

@@ -506,6 +506,41 @@ func TestRackWorkerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRoomSteadyStateAllocs pins the steady-state cost of a room's period
+// over 64 stub racks with fleet digests on at 134 allocations — the count
+// a room that ran its own gather, hold and push measured (6.7 kB) — so
+// delegating the tier's work adds no per-period garbage.
+func TestRoomSteadyStateAllocs(t *testing.T) {
+	const racks = 64
+	clients := make(map[string]RackClient, racks)
+	proxies := make([]*core.Node, 0, racks)
+	for i := 0; i < racks; i++ {
+		id := fmt.Sprintf("br%03d", i)
+		s := core.NewSummary()
+		s.SetLevel(0, 270*8, 450*8, 450*8)
+		s.Constraint = 950 * 4
+		clients[id] = &benchStubClient{s: s}
+		proxies = append(proxies, core.NewProxy(id, core.NewSummary()))
+	}
+	room, err := NewRoomWorker(core.NewShifting("room", 0, proxies...),
+		racks*450*7, core.GlobalPriority, clients, WithDigests(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	period := func() {
+		if _, stats, err := room.RunPeriod(ctx); err != nil {
+			t.Fatal(err)
+		} else if stats.GatherErrors+stats.ApplyErrors+stats.BudgetsHeld != 0 {
+			t.Fatalf("period degraded: %+v", stats)
+		}
+	}
+	period() // first pass sizes the fan-out, digest and engine scratch
+	if allocs := testing.AllocsPerRun(200, period); allocs > 134 {
+		t.Errorf("steady-state room period allocates %v times, want <= 134", allocs)
+	}
+}
+
 // TestRackWorkerSetTreeSteadyStateAllocs pins the other steady state: a
 // caller that refreshes demand by swapping two trees through SetTree every
 // period. The swap validates and flattens from scratch but leaves no

@@ -72,10 +72,10 @@ func WithBudgetLogDelta(d power.Watts) Option {
 	return func(o *options) { o.budgetLogDelta = d }
 }
 
-// DefaultStalenessBound is the number of consecutive failed gathers the
-// room worker tolerates before holding a rack's budget pushes: the rack
-// then keeps its last applied budget instead of being steered from
-// unboundedly stale state.
+// DefaultStalenessBound is the number of consecutive failed gathers a
+// tier — the room or an aggregator — tolerates before holding a child's
+// budget pushes: the child then keeps its last applied budget instead of
+// being steered from unboundedly stale state.
 const DefaultStalenessBound = 3
 
 // WithStalenessBound overrides the staleness bound, in control periods. A
@@ -193,21 +193,77 @@ func WithHierarchyLevel(level int) Option {
 // and everything must sit far inside the 8 s control period.
 var phaseBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2, 4, 8}
 
-// roomMetrics is the room worker's instrument bundle. With a nil registry
-// every handle is nil and each recording call is a zero-cost no-op.
-type roomMetrics struct {
+// tierMetrics instruments one tier's gather, allocate and push — the
+// room's or an aggregator's. The two register different families
+// (newRoomTierMetrics, newLevelMetrics); a handle a family set lacks stays
+// nil, and with a nil registry every handle is nil: each recording call is
+// then a zero-cost no-op. Aggregator families are labeled by hierarchy
+// level, so same-level aggregators share instruments: counters accumulate
+// naturally and the child-state gauges move by per-tier deltas.
+type tierMetrics struct {
 	gatherSeconds   *telemetry.Histogram
 	allocateSeconds *telemetry.Histogram
 	pushSeconds     *telemetry.Histogram
-	periods         *telemetry.Counter
 	gatherErrors    *telemetry.Counter
 	applyErrors     *telemetry.Counter
 	heldPushes      *telemetry.Counter
-	racks           *telemetry.Gauge
-	budget          *telemetry.Gauge
-	unseenRacks     *telemetry.Gauge
-	staleByRack     map[string]*telemetry.Gauge
-	budgetByRack    map[string]*telemetry.Gauge
+	unseen          *telemetry.Gauge
+	staleHeld       *telemetry.Gauge
+}
+
+func newRoomTierMetrics(reg *telemetry.Registry) tierMetrics {
+	phases := reg.HistogramVec("capmaestro_controlplane_phase_seconds",
+		"Latency of each room-worker control-period phase.", phaseBuckets, "phase")
+	return tierMetrics{
+		gatherSeconds:   phases.With("gather"),
+		allocateSeconds: phases.With("allocate"),
+		pushSeconds:     phases.With("push"),
+		gatherErrors: reg.Counter("capmaestro_controlplane_gather_errors_total",
+			"Rack summary gathers that failed or returned invalid summaries."),
+		applyErrors: reg.Counter("capmaestro_controlplane_apply_errors_total",
+			"Rack budget pushes that failed."),
+		heldPushes: reg.Counter("capmaestro_controlplane_held_pushes_total",
+			"Rack budget pushes withheld because the rack was never gathered or its summary exceeded the staleness bound."),
+		unseen: reg.Gauge("capmaestro_controlplane_unseen_racks",
+			"Racks from which no summary has ever been gathered successfully."),
+	}
+}
+
+func newLevelMetrics(reg *telemetry.Registry, level int) tierMetrics {
+	lvl := strconv.Itoa(level)
+	return tierMetrics{
+		gatherSeconds: reg.HistogramVec("capmaestro_controlplane_level_gather_seconds",
+			"Latency of one aggregator gather wave, per hierarchy level (1 = above the racks).",
+			phaseBuckets, "level").With(lvl),
+		pushSeconds: reg.HistogramVec("capmaestro_controlplane_level_push_seconds",
+			"Latency of one aggregator budget-push wave, per hierarchy level.",
+			phaseBuckets, "level").With(lvl),
+		gatherErrors: reg.CounterVec("capmaestro_controlplane_level_gather_errors_total",
+			"Child gathers that failed or returned invalid summaries, per hierarchy level.",
+			"level").With(lvl),
+		applyErrors: reg.CounterVec("capmaestro_controlplane_level_apply_errors_total",
+			"Child budget pushes that failed, per hierarchy level.", "level").With(lvl),
+		heldPushes: reg.CounterVec("capmaestro_controlplane_level_held_pushes_total",
+			"Child budget pushes withheld at an aggregator tier (never-gathered or stale children).",
+			"level").With(lvl),
+		unseen: reg.GaugeVec("capmaestro_controlplane_level_unseen_children",
+			"Children at this hierarchy level from which no summary has ever been gathered.",
+			"level").With(lvl),
+		staleHeld: reg.GaugeVec("capmaestro_controlplane_level_stale_children",
+			"Children at this hierarchy level currently beyond the staleness bound.",
+			"level").With(lvl),
+	}
+}
+
+// roomMetrics is what only the root reports: its periods, size and
+// budget, each rack's staleness and last pushed budget (indexed like the
+// tier's children), and the fleet rollup.
+type roomMetrics struct {
+	periods      *telemetry.Counter
+	racks        *telemetry.Gauge
+	budget       *telemetry.Gauge
+	staleByRack  []*telemetry.Gauge
+	budgetByRack []*telemetry.Gauge
 
 	// Fleet digest rollup gauges, refreshed once per period from the
 	// merged fleet digest.
@@ -220,32 +276,19 @@ type roomMetrics struct {
 }
 
 func newRoomMetrics(reg *telemetry.Registry, rackIDs []string) roomMetrics {
-	phases := reg.HistogramVec("capmaestro_controlplane_phase_seconds",
-		"Latency of each room-worker control-period phase.", phaseBuckets, "phase")
 	stale := reg.GaugeVec("capmaestro_controlplane_rack_stale_periods",
 		"Consecutive periods a rack proxy has served a stale summary (0 = fresh).", "rack")
 	rackBudget := reg.GaugeVec("capmaestro_controlplane_rack_budget_watts",
 		"Budget most recently assigned to each rack by the room worker.", "rack")
 	m := roomMetrics{
-		gatherSeconds:   phases.With("gather"),
-		allocateSeconds: phases.With("allocate"),
-		pushSeconds:     phases.With("push"),
 		periods: reg.Counter("capmaestro_controlplane_periods_total",
 			"Control periods executed by the room worker."),
-		gatherErrors: reg.Counter("capmaestro_controlplane_gather_errors_total",
-			"Rack summary gathers that failed or returned invalid summaries."),
-		applyErrors: reg.Counter("capmaestro_controlplane_apply_errors_total",
-			"Rack budget pushes that failed."),
-		heldPushes: reg.Counter("capmaestro_controlplane_held_pushes_total",
-			"Rack budget pushes withheld because the rack was never gathered or its summary exceeded the staleness bound."),
 		racks: reg.Gauge("capmaestro_controlplane_racks",
 			"Racks served by the room worker."),
 		budget: reg.Gauge("capmaestro_controlplane_budget_watts",
 			"Contractual budget the room worker allocates (0 = tree constraint)."),
-		unseenRacks: reg.Gauge("capmaestro_controlplane_unseen_racks",
-			"Racks from which no summary has ever been gathered successfully."),
-		staleByRack:  make(map[string]*telemetry.Gauge, len(rackIDs)),
-		budgetByRack: make(map[string]*telemetry.Gauge, len(rackIDs)),
+		staleByRack:  make([]*telemetry.Gauge, len(rackIDs)),
+		budgetByRack: make([]*telemetry.Gauge, len(rackIDs)),
 		fleetRacks: reg.Gauge("capmaestro_fleet_racks",
 			"Racks covered by the room worker's last merged fleet digest."),
 		fleetPower: reg.Gauge("capmaestro_fleet_power_watts",
@@ -259,9 +302,9 @@ func newRoomMetrics(reg *telemetry.Registry, rackIDs []string) roomMetrics {
 		fleetOutliers: reg.Gauge("capmaestro_fleet_outlier_racks",
 			"Racks flagged as outliers (cap-exceeded, low-headroom, stale) in the last merged fleet digest."),
 	}
-	for _, id := range rackIDs {
-		m.staleByRack[id] = stale.With(id)
-		m.budgetByRack[id] = rackBudget.With(id)
+	for i, id := range rackIDs {
+		m.staleByRack[i] = stale.With(id)
+		m.budgetByRack[i] = rackBudget.With(id)
 	}
 	return m
 }
@@ -375,45 +418,5 @@ func (m *rpcMetrics) observe(op string, start time.Time, failed bool) {
 	m.seconds[op].ObserveSince(start)
 	if failed {
 		m.errors[op].Inc()
-	}
-}
-
-// aggMetrics instruments an aggregator tier. Families are labeled by
-// hierarchy level (1 = directly above the racks), so same-level
-// aggregators share instruments: counters accumulate naturally and the
-// child-state gauges are maintained by per-aggregator deltas.
-type aggMetrics struct {
-	gatherSeconds  *telemetry.Histogram
-	pushSeconds    *telemetry.Histogram
-	gatherErrors   *telemetry.Counter
-	applyErrors    *telemetry.Counter
-	heldPushes     *telemetry.Counter
-	unseenChildren *telemetry.Gauge
-	staleChildren  *telemetry.Gauge
-}
-
-func newAggMetrics(reg *telemetry.Registry, level int) aggMetrics {
-	lvl := strconv.Itoa(level)
-	return aggMetrics{
-		gatherSeconds: reg.HistogramVec("capmaestro_controlplane_level_gather_seconds",
-			"Latency of one aggregator gather wave, per hierarchy level (1 = above the racks).",
-			phaseBuckets, "level").With(lvl),
-		pushSeconds: reg.HistogramVec("capmaestro_controlplane_level_push_seconds",
-			"Latency of one aggregator budget-push wave, per hierarchy level.",
-			phaseBuckets, "level").With(lvl),
-		gatherErrors: reg.CounterVec("capmaestro_controlplane_level_gather_errors_total",
-			"Child gathers that failed or returned invalid summaries, per hierarchy level.",
-			"level").With(lvl),
-		applyErrors: reg.CounterVec("capmaestro_controlplane_level_apply_errors_total",
-			"Child budget pushes that failed, per hierarchy level.", "level").With(lvl),
-		heldPushes: reg.CounterVec("capmaestro_controlplane_level_held_pushes_total",
-			"Child budget pushes withheld at an aggregator tier (never-gathered or stale children).",
-			"level").With(lvl),
-		unseenChildren: reg.GaugeVec("capmaestro_controlplane_level_unseen_children",
-			"Children at this hierarchy level from which no summary has ever been gathered.",
-			"level").With(lvl),
-		staleChildren: reg.GaugeVec("capmaestro_controlplane_level_stale_children",
-			"Children at this hierarchy level currently beyond the staleness bound.",
-			"level").With(lvl),
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"capmaestro/internal/core"
+	"capmaestro/internal/flightrec"
 	"capmaestro/internal/power"
 	"capmaestro/internal/slo"
 	"capmaestro/internal/telemetry"
@@ -324,5 +325,51 @@ func TestRoomWorkerSLOAndDegraded(t *testing.T) {
 	}
 	if !strings.Contains(report.Checks["room-degraded"], "held") {
 		t.Errorf("room-degraded verdict = %q", report.Checks["room-degraded"])
+	}
+}
+
+// TestRoomAlertOrderIsFixed: a room whose four racks all go stale fires
+// four rack-stale alerts in the same period. The room feeds the tracker
+// its racks in a fixed order, so the alerts' flight-recorder annotations
+// come out in one order, run after run.
+func TestRoomAlertOrderIsFixed(t *testing.T) {
+	run := func() string {
+		rec := flightrec.NewRecorder(16)
+		tracker, err := slo.New(slo.Config{Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients := make(map[string]RackClient)
+		var proxies []*core.Node
+		for _, id := range []string{"ra", "rb", "rc", "rd"} {
+			clients[id] = failingClient{}
+			proxies = append(proxies, core.NewProxy(id, core.NewSummary()))
+		}
+		room, err := NewRoomWorker(core.NewShifting("room", 0, proxies...), 1000, core.GlobalPriority,
+			clients, WithSLO(tracker), WithFlightRecorder(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, _, err := room.RunPeriod(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var texts []string
+		for _, r := range rec.Records() {
+			for _, a := range r.Annotations {
+				texts = append(texts, a.Text)
+			}
+		}
+		if len(texts) != 4 {
+			t.Fatalf("alert annotations = %q, want one per rack", texts)
+		}
+		return strings.Join(texts, "\n")
+	}
+	want := run()
+	for i := 1; i < 20; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d annotated alerts in another order:\n%s\nfirst run:\n%s", i, got, want)
+		}
 	}
 }

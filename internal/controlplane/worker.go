@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -80,7 +79,7 @@ type RackWorker struct {
 
 	// dig is the worker's reusable self-digest scratch; GatherDigest
 	// rewrites it under mu each call and hands out a pointer, which the
-	// in-process caller copies before its next gather wave (each tier runs
+	// in-process caller folds before its next gather wave (each tier runs
 	// one wave at a time, so the two never overlap).
 	dig fleetobs.StatDigest
 }
@@ -293,96 +292,52 @@ func (c LocalClient) ApplyBudget(ctx context.Context, b power.Watts) error {
 	return c.Worker.ApplyBudget(ctx, b)
 }
 
-// PeriodStats summarizes one room-worker control period.
+// PeriodStats summarizes one tier's control period — a room's, or an
+// aggregator's last gather and apply passes — counting the tier's own
+// children only.
 type PeriodStats struct {
 	GatherErrors int
 	ApplyErrors  int
-	// BudgetsHeld counts racks whose budget push was withheld this period:
-	// racks that have never reported a summary, and racks whose last
-	// summary is older than the staleness bound.
+	// BudgetsHeld counts children whose budget push was withheld: never
+	// gathered, or last gathered longer ago than the staleness bound.
 	BudgetsHeld int
 	RacksServed int
 	Elapsed     time.Duration
-	// Fleet is the period's merged fleet digest reduced to its headline
-	// numbers (zero value when digests are off or before the first
-	// rollup).
+	// Fleet is the merged fleet digest's headline numbers (zero when
+	// digests are off or before the first rollup).
 	Fleet fleetobs.DigestSummary
 }
 
-// holdReason explains why a rack's budget push was withheld.
-type holdReason string
-
-const (
-	holdNeverSeen holdReason = "never-gathered"
-	holdStale     holdReason = "stale-summary"
-)
-
-// RoomWorker protects the upper levels of the power hierarchy. Its tree's
-// proxy nodes stand in for rack workers; the map connects proxy node IDs to
-// their transports.
-//
-// Failure semantics: a rack whose gather has never succeeded is never
-// pushed a budget — the room either excludes it from allocation (default)
-// or reserves a configurable failsafe budget for it (WithFailsafeBudget).
-// A rack that has reported before keeps its last summary when gathers
-// fail, so the room keeps accounting for its load; once its summary is
-// older than the staleness bound (WithStalenessBound) its budget pushes
-// are held too, freezing the rack at its last applied budget instead of
-// steering it from unboundedly stale state.
+// RoomWorker protects the upper levels of the power hierarchy. It is the
+// root of the tier stack: one Aggregator over the room tree, whose proxy
+// nodes stand in for rack workers (or lower tiers), driven every period
+// with the contractual budget, under the failure semantics documented on
+// Aggregator. The room adds what only a root does: the period loop, the
+// flight-recorder period trace, SLO evaluation, the fleet rollup, health,
+// and per-rack telemetry.
 type RoomWorker struct {
-	policy core.Policy
-	budget power.Watts
-	racks  map[string]RackClient
-
+	tier           *Aggregator
+	budget         power.Watts
 	log            *slog.Logger
 	met            roomMetrics
 	budgetLogDelta power.Watts
-	stalenessBound int
-	failsafe       power.Watts
 	recorder       *flightrec.Recorder
 	slo            *slo.Tracker
-
-	// runMu serializes control periods and guards the tree and the
-	// per-period scratch below: only a running period writes proxy
-	// summaries and runs the allocation engine.
-	runMu   sync.Mutex
-	tree    *core.Node
-	proxies map[string]*core.Node
-	engine  *core.Allocator
-
-	// Fan-out machinery, reused every period so steady-state periods stay
-	// allocation-free in the control plane itself (the engine snapshot is
-	// the one remaining O(tree) allocation per period). One engine serves
-	// both waves: a period's push starts only after its allocation, which
-	// is the last reader of the gather wave's call slots.
-	fan      *fanEngine
-	rackList []string // sorted rack IDs: deterministic wave order
-	fresh    map[string]core.Summary
-	failed   map[string]error
-	hold     map[string]holdReason
-
-	// Fleet observability rollup (see internal/fleetobs): dm folds the
-	// gather wave's per-rack digests into one fleet digest per period.
-	// digests gates the whole plane; history backs /debug/fleet/history.
-	digests bool
-	dm      digestMerger
-	history *fleetobs.History
+	history        *fleetobs.History // backs /debug/fleet/history; nil with digests off
+	// prev is the tier's children as the last period left them, for the
+	// budget-change log. A period holds the tier's runMu throughout.
+	prev []childView
 
 	// mu guards the observable state below and is never held across rack
-	// RPCs, so Healthy, LastStats, and LastAllocation return immediately
-	// even while a period's network calls are in flight.
-	mu          sync.Mutex
-	lastAlloc   *core.Allocation
-	lastStats   PeriodStats
-	periods     uint64
-	rackDown    map[string]bool        // racks whose last gather failed
-	rackStale   map[string]int         // consecutive stale periods per rack
-	rackSeen    map[string]bool        // racks with at least one good gather
-	rackHeld    map[string]bool        // racks whose pushes are being held
-	rackBudgets map[string]power.Watts // last budget pushed per rack
-	pubFleet    fleetobs.StatDigest    // latest merged fleet digest
-	fleetWaves  uint64                 // rollups performed (0 = none yet)
-	fleetTime   time.Time              // when the latest rollup happened
+	// RPCs, so Healthy, LastStats, and FleetReport return immediately even
+	// while a period's network calls are in flight.
+	mu         sync.Mutex
+	lastStats  PeriodStats
+	periods    uint64
+	own        [1]fleetobs.LevelStats // the room's own row of the last period
+	pubFleet   fleetobs.StatDigest    // latest merged fleet digest
+	fleetWaves uint64                 // rollups performed (0 = none yet)
+	fleetTime  time.Time              // when the latest rollup happened
 }
 
 // NewRoomWorker creates a room worker. tree is the upper control tree
@@ -390,110 +345,48 @@ type RoomWorker struct {
 // keys in racks. budget is the contractual budget for this tree; zero uses
 // the tree constraint.
 func NewRoomWorker(tree *core.Node, budget power.Watts, policy core.Policy, racks map[string]RackClient, opts ...Option) (*RoomWorker, error) {
-	if tree == nil {
-		return nil, errors.New("controlplane: nil room tree")
-	}
-	if err := tree.Validate(); err != nil {
-		return nil, fmt.Errorf("controlplane: room tree: %w", err)
-	}
-	proxies := make(map[string]*core.Node)
-	tree.Walk(func(n *core.Node) {
-		if n.Proxy != nil {
-			proxies[n.ID] = n
-		}
-	})
-	if len(proxies) == 0 {
-		return nil, errors.New("controlplane: room tree has no rack proxies")
-	}
-	for id := range racks {
-		if _, ok := proxies[id]; !ok {
-			return nil, fmt.Errorf("controlplane: rack client %q has no proxy node", id)
-		}
-	}
-	for id := range proxies {
-		if _, ok := racks[id]; !ok {
-			return nil, fmt.Errorf("controlplane: proxy node %q has no rack client", id)
-		}
-	}
-	engine, err := core.NewAllocator(tree)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: room tree: %w", err)
-	}
 	o := buildOptions(opts)
-	rackIDs := make([]string, 0, len(racks))
-	for id := range racks {
-		rackIDs = append(rackIDs, id)
+	tier, err := newTier("room", tree, policy, racks, o, 0, newRoomTierMetrics(o.reg))
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(rackIDs)
 	w := &RoomWorker{
-		tree:           tree,
+		tier:           tier,
 		budget:         budget,
-		policy:         policy,
-		racks:          racks,
-		proxies:        proxies,
-		engine:         engine,
-		fan:            newFanEngine(newLimiter(o.rpcConcurrency), len(racks)),
-		rackList:       rackIDs,
-		fresh:          make(map[string]core.Summary, len(racks)),
-		failed:         make(map[string]error, len(racks)),
-		hold:           make(map[string]holdReason, len(racks)),
 		log:            o.log,
-		met:            newRoomMetrics(o.reg, rackIDs),
+		met:            newRoomMetrics(o.reg, tier.childList),
 		budgetLogDelta: o.budgetLogDelta,
-		stalenessBound: o.stalenessBound,
-		failsafe:       o.failsafeBudget,
 		recorder:       o.recorder,
 		slo:            o.slo,
-		rackDown:       make(map[string]bool, len(racks)),
-		rackStale:      make(map[string]int, len(racks)),
-		rackSeen:       make(map[string]bool, len(racks)),
-		rackHeld:       make(map[string]bool, len(racks)),
-		rackBudgets:    make(map[string]power.Watts, len(racks)),
-		digests:        o.digests == nil || *o.digests,
+		prev:           make([]childView, len(tier.childList)),
 	}
-	if w.digests {
+	if tier.digests {
 		w.history = fleetobs.NewHistory(o.fleetHistory)
-		w.fan.digests = true
 	}
 	w.met.racks.Set(float64(len(racks)))
 	w.met.budget.Set(float64(budget))
-	w.met.unseenRacks.Set(float64(len(racks)))
 	return w, nil
 }
 
-// failsafeSummary is the conservative stand-in for a rack that has never
-// reported: the room reserves exactly b watts for it — floor (CapMin) and
-// ceiling (Constraint) — without pretending to know anything about its
-// load or priorities.
-func failsafeSummary(b power.Watts) core.Summary {
-	s := core.NewSummary()
-	s.SetLevel(0, b, b, b)
-	s.Constraint = b
-	return s
-}
-
-// RunPeriod executes one full control period: gather summaries from all
-// racks in parallel, allocate over the upper tree, and push budgets back in
-// parallel. Racks that fail to respond keep their previous budgets; their
-// proxies keep the last summary so the room still protects its own limits.
-// Racks that have never responded, or whose summaries exceed the staleness
-// bound, have their budget pushes held (see the RoomWorker failure
-// semantics). No lock observable from Healthy, LastStats, or LastAllocation
-// is held while RPCs are in flight; concurrent RunPeriod calls serialize.
-//
-// A context cancelled before or during the gather phase aborts the period
-// with ctx's error without recording rack failures — a shutdown is not a
-// rack outage.
+// RunPeriod executes one full control period: the tier gathers summaries
+// from all racks in parallel, allocates the room budget over the upper
+// tree, and pushes budgets back in parallel, holding what it cannot trust
+// (see Aggregator). No lock observable from Healthy, LastStats, or
+// LastAllocation is held while RPCs are in flight; concurrent RunPeriod
+// calls serialize. A context cancelled before or during the gather aborts
+// the period with ctx's error and records nothing — a shutdown is not a
+// rack outage, and not a period.
 func (w *RoomWorker) RunPeriod(ctx context.Context) (*core.Allocation, PeriodStats, error) {
-	w.runMu.Lock()
-	defer w.runMu.Unlock()
+	a := w.tier
+	a.runMu.Lock()
+	defer a.runMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, PeriodStats{}, err
 	}
 	start := time.Now()
-	stats := PeriodStats{RacksServed: len(w.racks)}
+	racks := len(a.childList)
 	if w.log != nil {
-		w.log.Debug("control period start", "racks", len(w.racks))
+		w.log.Debug("control period start", "racks", racks)
 	}
 
 	// With a flight recorder attached, the whole period runs under one
@@ -505,24 +398,34 @@ func (w *RoomWorker) RunPeriod(ctx context.Context) (*core.Allocation, PeriodSta
 		pt = flightrec.NewPeriodTrace()
 	}
 	root := pt.StartSpan("period", "room", "")
-
-	if err := w.gatherPhase(ctx, pt, root.ID(), &stats); err != nil {
-		// Cancelled mid-gather (typically clean shutdown): the per-rack
-		// context errors carry no signal about rack health, and no period
-		// record is written — a shutdown is not a period.
-		return nil, stats, err
+	span := pt.StartSpan("gather", "room", root.ID())
+	own, fleet, err := a.gather(ctx, pt, span.ID())
+	span.End(nil)
+	if err != nil {
+		return nil, PeriodStats{RacksServed: racks}, err
 	}
-	alloc := w.allocPhase(pt, root.ID(), &stats)
-	w.pushPhase(ctx, pt, root.ID(), alloc, &stats)
-	stats.Elapsed = time.Since(start)
+	span = pt.StartSpan("allocate", "room", root.ID())
+	alloc := a.allocate(pt, w.budget)
+	span.End(nil)
+	span = pt.StartSpan("push", "room", root.ID())
+	a.push(ctx, pt, span.ID(), alloc)
+	span.End(nil)
 
-	// Publish the completed period: stats commit, trace record, SLO
-	// evaluation, and end-of-period logging.
-	w.commitPeriod(alloc, stats)
+	stats := a.LastStats()
+	stats.Elapsed = time.Since(start)
+	w.mu.Lock()
+	if fleet != nil {
+		stats.Fleet = w.publishFleet(fleet, &own)
+	}
+	w.own[0] = own
+	w.lastStats = stats
+	w.periods++
+	w.mu.Unlock()
+	w.met.periods.Inc()
+	w.noteRacks()
 	root.End(nil)
 	w.recordPeriod(pt, start, stats, alloc)
 	w.evalSLO()
-	w.met.budget.Set(float64(w.budget))
 	if w.log != nil {
 		if stats.GatherErrors > 0 || stats.ApplyErrors > 0 || stats.BudgetsHeld > 0 {
 			w.log.Warn("control period end", "elapsed", stats.Elapsed,
@@ -535,121 +438,11 @@ func (w *RoomWorker) RunPeriod(ctx context.Context) (*core.Allocation, PeriodSta
 	return alloc, stats, nil
 }
 
-// gatherPhase runs one gather wave over all racks — bounded concurrency,
-// batched where the transport allows, no lock held across RPCs — and
-// sorts the outcomes into the reused fresh/failed scratch maps. It
-// returns ctx's error when the wave was cancelled; gather metrics are
-// only recorded for completed waves.
-func (w *RoomWorker) gatherPhase(ctx context.Context, pt *flightrec.PeriodTrace, rootID string, stats *PeriodStats) error {
-	start := time.Now()
-	gatherSpan := pt.StartSpan("gather", "room", rootID)
-	e := w.fan
-	e.reset()
-	for _, id := range w.rackList {
-		e.add(id, w.racks[id])
-	}
-	e.gatherWave(ctx, pt, gatherSpan.ID())
-	gatherSpan.End(nil)
-	clear(w.fresh)
-	clear(w.failed)
-	for i := range e.calls {
-		c := &e.calls[i]
-		if c.err != nil {
-			w.failed[c.id] = c.err
-		} else {
-			w.fresh[c.id] = c.summary
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	stats.GatherErrors = len(w.failed)
-	w.met.gatherSeconds.ObserveSince(start)
-	w.met.gatherErrors.Add(float64(stats.GatherErrors))
-	return nil
-}
-
-// allocPhase commits the gather outcomes (filling the reused hold map),
-// folds the fleet digest from the gather wave's call slots into
-// stats.Fleet, installs fresh summaries into the proxies, and runs the
-// budgeting phase on the persistent engine.
-func (w *RoomWorker) allocPhase(pt *flightrec.PeriodTrace, rootID string, stats *PeriodStats) *core.Allocation {
-	w.commitGather(w.fresh, w.failed)
-	w.buildFleetDigest(stats)
-
-	// Failed racks keep their previous summary; never-seen racks keep
-	// their construction-time summary or the failsafe reservation.
-	for id, s := range w.fresh {
-		*w.proxies[id].Proxy = s
-	}
-	if w.failsafe > 0 {
-		for id, reason := range w.hold {
-			if reason == holdNeverSeen {
-				*w.proxies[id].Proxy = failsafeSummary(w.failsafe)
-			}
-		}
-	}
-
-	allocStart := time.Now()
-	allocSpan := pt.StartSpan("allocate", "room", rootID)
-	w.engine.SetExplainSink(pt.ExplainSink())
-	w.engine.Run(w.budget, w.policy)
-	w.engine.SetExplainSink(nil)
-	alloc := w.engine.Snapshot()
-	allocSpan.End(nil)
-	w.met.allocateSeconds.ObserveSince(allocStart)
-	return alloc
-}
-
-// buildFleetDigest folds the gather wave's per-rack digests into the
-// period's fleet rollup and publishes it. It runs from allocPhase — after
-// commitGather, and before the push wave resets the fan engine's call
-// slots it reads. Racks whose digest did not travel (digest-less
-// transports) are synthesized from their gathered summary and last pushed
-// budget, so the rollup stays watt-for-watt complete either way; racks
-// that failed this period's gather are counted as gather errors and, when
-// riding stale summaries, flagged as stale outliers rather than summed
-// from stale watts.
-func (w *RoomWorker) buildFleetDigest(stats *PeriodStats) {
-	if !w.digests {
-		return
-	}
-	w.dm.reset()
-	var own fleetobs.LevelStats
-	own.Workers = len(w.racks)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := range w.fan.calls {
-		c := &w.fan.calls[i]
-		if c.err != nil {
-			own.GatherErrors++
-			continue
-		}
-		b, haveB := w.rackBudgets[c.id]
-		w.dm.note(c.id, c.digest, &c.summary, b, haveB)
-		own.GatherLatency.Observe(fleetobs.LatencyBounds, c.elapsed.Seconds())
-	}
-	own.Held = len(w.hold)
-	for id, n := range w.rackStale {
-		if n > 0 && w.rackSeen[id] {
-			own.Stale++
-		}
-	}
-	fleet := w.dm.fold(own)
-	// Stale racks are an observer-side judgment — a rack never reports
-	// itself stale — so their outlier entries are added after the fold.
-	for id, n := range w.rackStale {
-		if n > 0 && w.rackSeen[id] {
-			fleet.AddOutlier(fleetobs.Outlier{
-				Rack:         id,
-				Reason:       fleetobs.ReasonStale,
-				Score:        2 + float64(n),
-				StalePeriods: n,
-			})
-		}
-	}
+// publishFleet publishes the tier's fleet rollup to FleetReport, the
+// history ring and the fleet gauges, and returns its headline numbers.
+// Callers hold mu.
+func (w *RoomWorker) publishFleet(fleet *fleetobs.StatDigest, own *fleetobs.LevelStats) fleetobs.DigestSummary {
 	w.pubFleet.CopyFrom(fleet)
-	stats.Fleet = fleet.Summary()
 	w.fleetWaves++
 	w.fleetTime = time.Now()
 	w.history.Append(fleetobs.Sample{
@@ -671,112 +464,28 @@ func (w *RoomWorker) buildFleetDigest(stats *PeriodStats) {
 	w.met.fleetWorstHeadroom.Set(fleet.WorstHeadroomW)
 	w.met.fleetViolating.Set(float64(fleet.ViolatingRacks))
 	w.met.fleetOutliers.Set(float64(len(fleet.Outliers)))
+	return fleet.Summary()
 }
 
-// pushPhase runs one push wave — bounded, batched, no lock across RPCs —
-// skipping racks held by the last commitGather and pushing each other
-// rack its share of alloc.
-func (w *RoomWorker) pushPhase(ctx context.Context, pt *flightrec.PeriodTrace, rootID string, alloc *core.Allocation, stats *PeriodStats) {
-	start := time.Now()
-	pushSpan := pt.StartSpan("push", "room", rootID)
-	e := w.fan
-	e.reset()
-	for _, id := range w.rackList {
-		c := e.add(id, w.racks[id])
-		if _, held := w.hold[id]; held {
-			c.skip = true
-			stats.BudgetsHeld++
-			w.met.heldPushes.Inc()
-			continue
-		}
-		c.budget = alloc.NodeBudgets[id]
-	}
-	e.pushWave(ctx, pt, pushSpan.ID())
-	for i := range e.calls {
-		if c := &e.calls[i]; !c.skip && c.err != nil {
-			stats.ApplyErrors++
-		}
-	}
-	w.notePushedBudgets(e.calls)
-	pushSpan.End(nil)
-	w.met.pushSeconds.ObserveSince(start)
-	w.met.applyErrors.Add(float64(stats.ApplyErrors))
-}
-
-// commitGather records the period's gather outcomes under mu — staleness
-// counters, down/recovered and held/resumed transitions — and refills the
-// reused hold map with the racks whose budget pushes are held this
-// period, keyed by reason.
-func (w *RoomWorker) commitGather(fresh map[string]core.Summary, failed map[string]error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for id, err := range failed {
-		w.rackStale[id]++
-		w.met.staleByRack[id].Set(float64(w.rackStale[id]))
-		if !w.rackDown[id] {
-			w.rackDown[id] = true
-			if w.log != nil {
-				w.log.Warn("rack gather failed", "rack", id, "err", err)
+// noteRacks refreshes the per-rack gauges from the tier's children and logs
+// each pushed budget that moved by more than the configured delta since
+// the last period. Runs inside a period.
+func (w *RoomWorker) noteRacks() {
+	for i := range w.tier.children {
+		v, prev := &w.tier.children[i], &w.prev[i]
+		w.met.staleByRack[i].Set(float64(v.stale))
+		if v.pushedOK {
+			w.met.budgetByRack[i].Set(float64(v.pushed))
+			if w.log != nil && prev.pushedOK && math.Abs(float64(v.pushed-prev.pushed)) > float64(w.budgetLogDelta) {
+				w.log.Info("rack budget changed", "rack", w.tier.childList[i],
+					"old", float64(prev.pushed), "new", float64(v.pushed))
 			}
 		}
+		*prev = *v
 	}
-	for id := range fresh {
-		w.rackSeen[id] = true
-		if w.rackDown[id] {
-			w.rackDown[id] = false
-			if w.log != nil {
-				w.log.Info("rack recovered", "rack", id, "stale_periods", w.rackStale[id])
-			}
-		}
-		if w.rackStale[id] != 0 {
-			w.rackStale[id] = 0
-			w.met.staleByRack[id].Set(0)
-		}
-	}
-	hold := w.hold
-	clear(hold)
-	unseen := 0
-	for id := range w.racks {
-		switch {
-		case !w.rackSeen[id]:
-			hold[id] = holdNeverSeen
-			unseen++
-		case w.stalenessBound > 0 && w.rackStale[id] > w.stalenessBound:
-			hold[id] = holdStale
-		}
-	}
-	w.met.unseenRacks.Set(float64(unseen))
-	for id := range w.racks {
-		_, held := hold[id]
-		switch {
-		case held && !w.rackHeld[id]:
-			w.rackHeld[id] = true
-			if w.log != nil {
-				w.log.Warn("rack budget held", "rack", id, "reason", string(hold[id]))
-			}
-		case !held && w.rackHeld[id]:
-			w.rackHeld[id] = false
-			if w.log != nil {
-				w.log.Info("rack budget pushes resumed", "rack", id)
-			}
-		}
-	}
-}
-
-// commitPeriod publishes the period's results under mu. It runs on every
-// completed period, however degraded, so the periods counter and the
-// last-period stats never go stale while things break.
-func (w *RoomWorker) commitPeriod(alloc *core.Allocation, stats PeriodStats) {
-	w.mu.Lock()
-	w.lastAlloc = alloc
-	w.lastStats = stats
-	w.periods++
-	w.mu.Unlock()
-	w.met.periods.Inc()
 }
 
 // recordPeriod writes one completed period into the flight recorder.
-// Periods aborted by context cancellation are never recorded.
 func (w *RoomWorker) recordPeriod(pt *flightrec.PeriodTrace, start time.Time, stats PeriodStats, alloc *core.Allocation) {
 	if pt == nil {
 		return
@@ -794,61 +503,29 @@ func (w *RoomWorker) recordPeriod(pt *flightrec.PeriodTrace, start time.Time, st
 		Infeasible:   alloc.Infeasible,
 	}
 	if stats.Fleet.Racks > 0 {
-		rec.Fleet = &flightrec.FleetNote{
-			Racks:              stats.Fleet.Racks,
-			PowerWatts:         stats.Fleet.PowerWatts,
-			BudgetWatts:        stats.Fleet.BudgetWatts,
-			HeadroomWatts:      stats.Fleet.HeadroomWatts,
-			WorstHeadroomWatts: stats.Fleet.WorstHeadroomWatts,
-			WorstHeadroomRack:  stats.Fleet.WorstHeadroomRack,
-			ViolatingRacks:     stats.Fleet.ViolatingRacks,
-			OutlierRacks:       stats.Fleet.OutlierRacks,
-		}
+		note := flightrec.FleetNote(stats.Fleet)
+		rec.Fleet = &note
 	}
 	w.recorder.Add(rec)
 }
 
-// evalSLO runs one alert-engine evaluation against the period just
-// recorded, feeding the tracker every rack's staleness counter. It runs
-// after recordPeriod so alert transitions annotate the current period's
+// evalSLO feeds the tracker one alert-engine evaluation with every rack's
+// staleness counter, in the tier's child order. It runs inside the period
+// after recordPeriod, so alert transitions annotate the period's
 // flight-recorder record. Nil tracker no-ops.
 func (w *RoomWorker) evalSLO() {
 	if w.slo == nil {
 		return
 	}
-	w.mu.Lock()
-	samples := make([]slo.Sample, 0, len(w.racks))
-	for id := range w.racks {
-		samples = append(samples, slo.Sample{
+	samples := make([]slo.Sample, len(w.tier.children))
+	for i := range w.tier.children {
+		samples[i] = slo.Sample{
 			Signal: slo.SignalRackStalePeriods,
-			Label:  id,
-			Value:  float64(w.rackStale[id]),
-		})
+			Label:  w.tier.childList[i],
+			Value:  float64(w.tier.children[i].stale),
+		}
 	}
-	w.mu.Unlock()
 	w.slo.EvalPeriod(w.slo.Uptime(), samples...)
-}
-
-// notePushedBudgets records the budgets a push wave delivered — held
-// racks and failed pushes keep their last pushed value — updating the
-// per-rack gauges and logging changes larger than the configured delta.
-func (w *RoomWorker) notePushedBudgets(calls []fanCall) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := range calls {
-		c := &calls[i]
-		if c.skip || c.err != nil {
-			continue
-		}
-		id, b := c.id, c.budget
-		prev, seen := w.rackBudgets[id]
-		if w.log != nil && seen && math.Abs(float64(b-prev)) > float64(w.budgetLogDelta) {
-			w.log.Info("rack budget changed", "rack", id,
-				"old", float64(prev), "new", float64(b))
-		}
-		w.rackBudgets[id] = b
-		w.met.budgetByRack[id].Set(float64(b))
-	}
 }
 
 // Run executes control periods on the given cadence until the context is
@@ -858,10 +535,7 @@ func (w *RoomWorker) notePushedBudgets(calls []fanCall) {
 func (w *RoomWorker) Run(ctx context.Context, period time.Duration, onPeriod func(PeriodStats, error)) {
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
-	for {
-		if ctx.Err() != nil {
-			return
-		}
+	for ctx.Err() == nil {
 		_, stats, err := w.RunPeriod(ctx)
 		if ctx.Err() != nil {
 			return
@@ -878,11 +552,7 @@ func (w *RoomWorker) Run(ctx context.Context, period time.Duration, onPeriod fun
 }
 
 // LastAllocation returns the room's most recent upper-tree allocation.
-func (w *RoomWorker) LastAllocation() *core.Allocation {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastAlloc
-}
+func (w *RoomWorker) LastAllocation() *core.Allocation { return w.tier.LastAllocation() }
 
 // LastStats returns the statistics of the most recent control period (the
 // zero value before the first period).
@@ -898,7 +568,7 @@ func (w *RoomWorker) LastStats() PeriodStats {
 func (w *RoomWorker) FleetReport() (fleetobs.Report, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.digests || w.fleetWaves == 0 {
+	if w.fleetWaves == 0 {
 		return fleetobs.Report{}, false
 	}
 	return fleetobs.Report{
@@ -911,9 +581,7 @@ func (w *RoomWorker) FleetReport() (fleetobs.Report, bool) {
 
 // FleetHistory returns the per-period fleet sample ring backing
 // /debug/fleet/history (nil when digests are disabled).
-func (w *RoomWorker) FleetHistory() *fleetobs.History {
-	return w.history
-}
+func (w *RoomWorker) FleetHistory() *fleetobs.History { return w.history }
 
 // RackFreshness describes one rack's gather freshness, as reported in the
 // /healthz detail body.
@@ -932,56 +600,52 @@ type RackFreshness struct {
 // RackFreshness returns per-rack freshness detail for health reporting.
 // It never blocks on in-flight rack RPCs.
 func (w *RoomWorker) RackFreshness() map[string]RackFreshness {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[string]RackFreshness, len(w.racks))
-	for id := range w.racks {
-		out[id] = RackFreshness{
-			StalePeriods: w.rackStale[id],
-			EverGathered: w.rackSeen[id],
-			Held:         w.rackHeld[id],
-			LastBudget:   w.rackBudgets[id],
-		}
+	a := w.tier
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make(map[string]RackFreshness, len(a.view))
+	for i, v := range a.view {
+		out[a.childList[i]] = RackFreshness{StalePeriods: v.stale, EverGathered: v.seen, Held: v.held, LastBudget: v.pushed}
 	}
 	return out
 }
 
+// levels returns the level rows health is judged on: with fleet digests
+// on (the default), every tier's row of the last merged fleet digest, so
+// racks failing or held behind aggregators that still answer count too;
+// with digests off, the room's own row only. Callers hold mu, after the
+// first period.
+func (w *RoomWorker) levels() []fleetobs.LevelStats {
+	if w.tier.digests {
+		return w.pubFleet.Levels
+	}
+	return w.own[:]
+}
+
 // Healthy reports the room worker's health for a /healthz endpoint: nil
-// while the control plane can still see at least one rack. It returns an
-// error once a completed control period gathered zero fresh rack
-// summaries — the plane is then flying blind on stale data. With fleet
-// digests on (the default) it answers for the whole subtree: it reads the
-// lowest level row of the last merged fleet digest, so racks failing
-// behind aggregators that still answer count too. With digests off it
-// sees only the room's own children. Before the first period the worker
-// reports healthy (starting up). It never blocks on in-flight rack RPCs.
+// while the control plane can still see at least one rack, an error once
+// a completed period gathered no fresh summary at the lowest level (see
+// levels) — the plane is then flying blind on stale data. Before the first
+// period the worker reports healthy (starting up). It never blocks on
+// in-flight rack RPCs.
 func (w *RoomWorker) Healthy() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.periods == 0 {
 		return nil
 	}
-	served, failed := w.lastStats.RacksServed, w.lastStats.GatherErrors
-	if w.digests && len(w.pubFleet.Levels) > 0 {
-		row := &w.pubFleet.Levels[0]
-		served, failed = row.Workers, row.GatherErrors
-	}
-	if served > 0 && failed >= served {
-		return fmt.Errorf("all %d rack gathers failed last control period", served)
+	if row := &w.levels()[0]; row.Workers > 0 && row.GatherErrors >= row.Workers {
+		return fmt.Errorf("all %d rack gathers failed last control period", row.Workers)
 	}
 	return nil
 }
 
 // Degraded reports reduced-but-serving conditions for a warn-level
-// /healthz check: nil while every rack is fresh, an error when some
-// racks are stale or their budget pushes are held while the room can
-// still see at least one rack. (When the room sees nothing at all,
-// Healthy reports that — a critical condition, not a degraded one.) With
-// fleet digests on it counts the whole subtree, summing the stale and
-// held counts of every level row of the last merged fleet digest; with
-// digests off it counts only the room's own children. Before the first
-// period the worker reports undegraded (starting up). It never blocks on
-// in-flight rack RPCs.
+// /healthz check: nil while every rack is fresh, an error when some racks
+// (summed over levels) are stale or their budget pushes are held. A room
+// that sees nothing at all is Healthy's concern, not a degraded one.
+// Before the first period the worker reports undegraded (starting up). It
+// never blocks on in-flight rack RPCs.
 func (w *RoomWorker) Degraded() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -989,20 +653,9 @@ func (w *RoomWorker) Degraded() error {
 		return nil
 	}
 	stale, held := 0, 0
-	if w.digests {
-		for i := range w.pubFleet.Levels {
-			stale += w.pubFleet.Levels[i].Stale
-			held += w.pubFleet.Levels[i].Held
-		}
-	} else {
-		for id := range w.racks {
-			if w.rackStale[id] > 0 && w.rackSeen[id] {
-				stale++
-			}
-			if w.rackHeld[id] {
-				held++
-			}
-		}
+	for _, row := range w.levels() {
+		stale += row.Stale
+		held += row.Held
 	}
 	if stale == 0 && held == 0 {
 		return nil
