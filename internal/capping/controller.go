@@ -184,10 +184,14 @@ func (c *Controller) supplyIndex(supplyID string) int {
 // SetBudget assigns an AC power budget to one supply. Pass Unbudgeted to
 // remove the constraint. A supply the node does not have is ignored.
 func (c *Controller) SetBudget(supplyID string, budget power.Watts) {
-	i := c.supplyIndex(supplyID)
-	if i < 0 {
-		return
+	if i := c.supplyIndex(supplyID); i >= 0 {
+		c.SetBudgetAt(i, budget)
 	}
+}
+
+// SetBudgetAt is SetBudget for supply i, in the node's SupplyIDs order.
+func (c *Controller) SetBudgetAt(i int, budget power.Watts) {
+	supplyID := c.supplies[i]
 	prev := c.budgets[i]
 	had := prev != Unbudgeted
 	if math.IsInf(float64(budget), 1) {

@@ -327,6 +327,8 @@ type RoomWorker struct {
 	// prev is the tier's children as the last period left them, for the
 	// budget-change log. A period holds the tier's runMu throughout.
 	prev []childView
+	// sloSamples is evalSLO's buffer, reused under the same runMu.
+	sloSamples []slo.Sample
 
 	// mu guards the observable state below and is never held across rack
 	// RPCs, so Healthy, LastStats, and FleetReport return immediately even
@@ -517,15 +519,15 @@ func (w *RoomWorker) evalSLO() {
 	if w.slo == nil {
 		return
 	}
-	samples := make([]slo.Sample, len(w.tier.children))
+	w.sloSamples = w.sloSamples[:0]
 	for i := range w.tier.children {
-		samples[i] = slo.Sample{
+		w.sloSamples = append(w.sloSamples, slo.Sample{
 			Signal: slo.SignalRackStalePeriods,
 			Label:  w.tier.childList[i],
 			Value:  float64(w.tier.children[i].stale),
-		}
+		})
 	}
-	w.slo.EvalPeriod(w.slo.Uptime(), samples...)
+	w.slo.EvalPeriod(w.slo.Uptime(), w.sloSamples...)
 }
 
 // Run executes control periods on the given cadence until the context is

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-)
 
-import (
 	"capmaestro/internal/power"
 )
 
@@ -216,39 +214,17 @@ func waterfill(amount power.Watts, weights []float64, caps []power.Watts) []powe
 	return waterfillInto(amount, weights, caps, make([]power.Watts, n), make([]bool, n))
 }
 
-// CheckInvariants verifies, for tests and the simulator's safety monitor,
-// that an allocation respects every node limit and covers every leaf's
-// scaled minimum when feasible. It returns the first violation found.
+// CheckInvariants is Allocator.CheckInvariants over a map-based result:
+// the same walk, returning the same error, for tests and one-shot
+// callers. A root that does not validate returns Validate's error.
 func (a *Allocation) CheckInvariants(root *Node) error {
-	var err error
-	var walk func(n *Node) power.Watts
-	walk = func(n *Node) power.Watts {
-		b := a.NodeBudgets[n.ID]
-		limit := n.limitOrInf()
-		if b > limit+epsilon {
-			err = fmt.Errorf("core: node %q budget %v exceeds limit %v", n.ID, b, limit)
-		}
-		if n.IsLeaf() {
-			if !a.Infeasible {
-				minNeeded := power.Watts(n.Leaf.Share) * n.Leaf.CapMin
-				if b+epsilon < minNeeded {
-					err = fmt.Errorf("core: leaf %q budget %v below scaled minimum %v", n.ID, b, minNeeded)
-				}
-			}
-			return b
-		}
-		if n.Proxy != nil {
-			return b
-		}
-		var sum power.Watts
-		for _, c := range n.Children {
-			sum += walk(c)
-		}
-		if sum > b+epsilon {
-			err = fmt.Errorf("core: node %q children sum %v exceeds budget %v", n.ID, sum, b)
-		}
-		return b
+	e, err := NewAllocator(root)
+	if err != nil {
+		return err
 	}
-	walk(root)
-	return err
+	for i := range e.nodes {
+		e.budgets[i] = a.NodeBudgets[e.nodes[i].node.ID]
+	}
+	e.infeasible = a.Infeasible
+	return e.CheckInvariants()
 }

@@ -268,6 +268,42 @@ func (a *Allocator) SupplyBudgets(fn func(supplyID string, budget power.Watts)) 
 	}
 }
 
+// CheckInvariants verifies, for the simulator's safety monitor, that the
+// last Run keeps every node within its limit and its children within its
+// budget, and covers every leaf's scaled minimum unless infeasible. It
+// walks depth-first and returns the last violation it meets.
+func (a *Allocator) CheckInvariants() error {
+	var err error
+	a.check(0, &err)
+	return err
+}
+
+// check is CheckInvariants at node index i, returning i's budget.
+func (a *Allocator) check(i int, err *error) power.Watts {
+	fn := &a.nodes[i]
+	n, b := fn.node, a.budgets[i]
+	if b > fn.limit+epsilon {
+		*err = fmt.Errorf("core: node %q budget %v exceeds limit %v", n.ID, b, fn.limit)
+	}
+	if fn.leaf {
+		if minNeeded := power.Watts(n.Leaf.Share) * n.Leaf.CapMin; !a.infeasible && b+epsilon < minNeeded {
+			*err = fmt.Errorf("core: leaf %q budget %v below scaled minimum %v", n.ID, b, minNeeded)
+		}
+		return b
+	}
+	if fn.proxy {
+		return b
+	}
+	var sum power.Watts
+	for c := fn.childStart; c < fn.childEnd; c++ {
+		sum += a.check(c, err)
+	}
+	if sum > b+epsilon {
+		*err = fmt.Errorf("core: node %q children sum %v exceeds budget %v", n.ID, sum, b)
+	}
+	return b
+}
+
 // Snapshot materializes the last Run as a map-based Allocation, the
 // portable result shape the one-shot Allocate API returns.
 func (a *Allocator) Snapshot() *Allocation {

@@ -285,3 +285,54 @@ func TestAllocatorRebindAllocatesNothing(t *testing.T) {
 		t.Errorf("Rebind + Run allocates %v times per swap", allocs)
 	}
 }
+
+// TestCheckInvariantsForms breaks each allocation rule in turn — a node
+// over its limit, children summing past their parent, a leaf under its
+// scaled minimum — and requires the engine form and the map form to
+// report the identical error: the last violation in depth-first order.
+func TestCheckInvariantsForms(t *testing.T) {
+	valid := map[string]power.Watts{"root": 1300, "s0": 300, "left": 700, "a": 400, "b": 300, "remote": 300}
+	for _, tc := range []struct {
+		name       string
+		edit       map[string]power.Watts
+		infeasible bool
+		want       string // "" for no violation
+	}{
+		{name: "valid"},
+		{name: "over limit", edit: map[string]power.Watts{"left": 760, "root": 1360},
+			want: `core: node "left" budget 760.0W exceeds limit 750.0W`},
+		{name: "children over parent", edit: map[string]power.Watts{"a": 450},
+			want: `core: node "left" children sum 750.0W exceeds budget 700.0W`},
+		{name: "under minimum", edit: map[string]power.Watts{"s0": 200},
+			want: `core: leaf "s0" budget 200.0W below scaled minimum 270.0W`},
+		{name: "infeasible forgives minimum", edit: map[string]power.Watts{"s0": 200}, infeasible: true},
+		{name: "last violation wins", edit: map[string]power.Watts{"s0": 200, "a": 450},
+			want: `core: node "left" children sum 750.0W exceeds budget 700.0W`},
+	} {
+		tree := recheckTree()
+		a, err := NewAllocator(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Run(0, GlobalPriority)
+		alloc := &Allocation{NodeBudgets: make(map[string]power.Watts), Infeasible: tc.infeasible}
+		a.infeasible = tc.infeasible
+		for _, budgets := range []map[string]power.Watts{valid, tc.edit} {
+			for id, b := range budgets {
+				i, _ := a.NodeIndex(id)
+				a.budgets[i] = b
+				alloc.NodeBudgets[id] = b
+			}
+		}
+		errString := func(err error) string {
+			if err == nil {
+				return ""
+			}
+			return err.Error()
+		}
+		engine, byMap := errString(a.CheckInvariants()), errString(alloc.CheckInvariants(tree))
+		if engine != tc.want || byMap != tc.want {
+			t.Errorf("%s: engine form %q, map form %q, want %q", tc.name, engine, byMap, tc.want)
+		}
+	}
+}

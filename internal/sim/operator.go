@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -163,6 +164,7 @@ func (s *Simulator) SetNodeBudget(nodeID string, budget power.Watts) error {
 	if budget < 0 {
 		return fmt.Errorf("sim: node %q budget %v is negative", nodeID, budget)
 	}
+	s.rebind = true
 	if budget == 0 {
 		delete(s.nodeBudgets, nodeID)
 		return nil
@@ -217,8 +219,33 @@ func (s *Simulator) applyNodeBudgets(tree *core.Node) {
 // overlays applied, failed feeds pruned — so running the refalloc
 // reference over them must reproduce the simulator's applied budgets
 // watt-for-watt.
+//
+// They are copies, made on the first call after each period: the
+// simulator's own trees are rewritten in place every period.
 func (s *Simulator) LastControlTrees() ([]*core.Node, []power.Watts, []topology.FeedID) {
-	return s.lastTrees, s.lastTreeBudgets, s.lastTreeFeeds
+	if len(s.trees) == 0 {
+		return nil, nil, nil
+	}
+	if s.lastTrees == nil {
+		for _, t := range s.trees {
+			s.lastTrees = append(s.lastTrees, cloneTree(t))
+		}
+	}
+	return s.lastTrees, slices.Clone(s.treeBudgets), slices.Clone(s.treeFeeds)
+}
+
+// cloneTree deep-copies a control tree, leaves included.
+func cloneTree(n *core.Node) *core.Node {
+	c := *n
+	if n.Leaf != nil {
+		l := *n.Leaf
+		c.Leaf = &l
+	}
+	c.Children = nil
+	for _, child := range n.Children {
+		c.Children = append(c.Children, cloneTree(child))
+	}
+	return &c
 }
 
 // SPOEnabled reports whether the stranded power optimization pass runs.

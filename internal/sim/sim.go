@@ -117,7 +117,6 @@ type Simulator struct {
 
 	supplies []supplySlot   // in server order, then Supplies() order
 	supplyAt map[string]int // supply ID → index in supplies
-	budgeted []bool         // per-period scratch, by supplies index
 
 	// nodeSupplies lists every topology node's supplies in Walk order, so
 	// a load sums in the same order a walk does.
@@ -128,18 +127,33 @@ type Simulator struct {
 	feedRisk  []float64     // per-tick scratch, by riskFeeds index
 
 	feedFailed map[topology.FeedID]bool
-	lastAllocs map[topology.FeedID]*core.Allocation
-	lastSPO    *core.SPOReport
+
+	// The control tick runs on persistent engines: feeds holds one per
+	// live feed tree, and trees, treeFeeds and treeBudgets are those
+	// trees, their feeds and the last period's root budgets. leaves finds
+	// each supply's leaf by supplies index (nil leaf: in no tree). The
+	// trees are rebuilt, and the engines rebound, only when a supply joins
+	// or leaves them or rebind is set by an overlay change.
+	feeds       core.FeedSet
+	trees       []*core.Node
+	treeFeeds   []topology.FeedID
+	treeBudgets []power.Watts
+	leaves      []supplyLeaf
+	rootDown    []bool // per-period scratch, by topology root
+	rebind      bool
+
+	// What LastAllocation and LastControlTrees hand out for the last
+	// period, each built on first use.
+	lastAllocs []*core.Allocation // by tree
+	lastTrees  []*core.Node
+	// explains collects a recorded period's explain records; the
+	// period's flight-recorder record keeps the slice.
+	explains explainList
 
 	// operator state (see operator.go)
 	cordoned    map[string]bool        // serverID → closed to new work
 	drainedUtil map[string]float64     // serverID → utilization before drain
 	nodeBudgets map[string]power.Watts // nodeID → operator budget overlay
-
-	// the most recent control period's allocator input, for oracle checks
-	lastTrees       []*core.Node
-	lastTreeBudgets []power.Watts
-	lastTreeFeeds   []topology.FeedID
 
 	// safety monitor counters
 	invariantViolations []string
@@ -151,6 +165,8 @@ type Simulator struct {
 	log       *slog.Logger
 	flightRec *flightrec.Recorder
 	slo       *slo.Tracker
+	// sloSamples is evalSLOPeriod's buffer, reused every period.
+	sloSamples []slo.Sample
 
 	metBreakerTrips *telemetry.Counter
 	metInfeasible   *telemetry.Counter
@@ -178,7 +194,15 @@ type supplyRef struct{ srv, sup int }
 type supplySlot struct {
 	id   string
 	feed topology.FeedID
+	root int // index of its topology root
 	supplyRef
+}
+
+// supplyLeaf is a supply's leaf in the bound control trees and its slot:
+// node index node of the engine for tree.
+type supplyLeaf struct {
+	leaf       *core.SupplyLeaf
+	tree, node int
 }
 
 // breakerSlot is one rated distribution node's breaker.
@@ -220,7 +244,7 @@ func New(cfg Config) (*Simulator, error) {
 		supplyAt:      make(map[string]int),
 		nodeSupplies:  make(map[string][]supplyRef),
 		feedFailed:    make(map[topology.FeedID]bool),
-		lastAllocs:    make(map[topology.FeedID]*core.Allocation),
+		rebind:        true,
 		cordoned:      make(map[string]bool),
 		drainedUtil:   make(map[string]float64),
 		nodeBudgets:   make(map[string]power.Watts),
@@ -291,18 +315,21 @@ func New(cfg Config) (*Simulator, error) {
 		}
 	}
 	s.readings = make([]server.Reading, len(s.servers))
-	s.budgeted = make([]bool, len(s.supplies))
+	s.leaves = make([]supplyLeaf, len(s.supplies))
+	s.rootDown = make([]bool, len(cfg.Topology.Roots()))
 
 	// Every node's supplies in Walk order, then one breaker per rated
 	// distribution node, remembering which feed each breaker protects for
 	// per-feed trip-risk scoring.
 	breakerFeed := make(map[string]string)
-	for _, root := range cfg.Topology.Roots() {
+	for r, root := range cfg.Topology.Roots() {
 		var flat []supplyRef
 		root.Walk(func(n *topology.Node) bool {
 			switch {
 			case n.Kind == topology.KindSupply:
-				flat = append(flat, s.supplies[s.supplyAt[n.ID]].supplyRef)
+				sup := &s.supplies[s.supplyAt[n.ID]]
+				sup.root = r
+				flat = append(flat, sup.supplyRef)
 			case n.Rating > 0:
 				breakerFeed[n.ID] = string(root.Feed)
 			}
@@ -383,14 +410,24 @@ func (s *Simulator) Controller(serverID string) *capping.Controller {
 	return nil
 }
 
-// LastAllocation returns the most recent allocation for a feed.
+// LastAllocation returns the most recent allocation for a feed (nil when
+// the feed had no live tree), materialized from its engine on first use.
 func (s *Simulator) LastAllocation(feed topology.FeedID) *core.Allocation {
-	return s.lastAllocs[feed]
+	for i := len(s.treeFeeds) - 1; i >= 0; i-- {
+		if s.treeFeeds[i] == feed {
+			if s.lastAllocs[i] == nil {
+				s.lastAllocs[i] = s.feeds.Engine(i).Snapshot()
+			}
+			return s.lastAllocs[i]
+		}
+	}
+	return nil
 }
 
 // LastSPOReport returns the stranded-power report from the most recent
-// control period (nil when SPO is disabled or no period has run).
-func (s *Simulator) LastSPOReport() *core.SPOReport { return s.lastSPO }
+// control period (nil when SPO is disabled, no period has run, or the
+// last one had no live tree to budget).
+func (s *Simulator) LastSPOReport() *core.SPOReport { return s.feeds.Report() }
 
 // InvariantViolations lists allocation-invariant failures detected by the
 // safety monitor (budget exceeding a limit, a feasible minimum not
@@ -580,106 +617,58 @@ func (s *Simulator) tick() {
 // live feed tree, then applies the resulting per-supply budgets to the
 // capping controllers and runs their PI iterations.
 func (s *Simulator) controlPeriod() {
-	src := func(supplyID, _ string) (core.LeafInfo, bool) {
-		k, ok := s.supplyAt[supplyID]
-		if !ok {
-			return core.LeafInfo{}, false
-		}
-		ref := s.supplies[k].supplyRef
-		srv := s.servers[ref.srv]
-		share := srv.SupplyShareAt(ref.sup)
-		if share <= 0 {
-			return core.LeafInfo{}, false
-		}
-		// Prefer the measured split ("we adjust it in practice based on
-		// how the load is actually split", Section 4.3.1).
-		if r, ok := s.measuredShare(ref); ok {
-			share = r
-		}
-		demand, ok := s.controllers[ref.srv].Demand()
-		if !ok {
-			demand = s.readings[ref.srv].TotalAC
-		}
-		capMin, capMax := srv.Envelope()
-		return core.LeafInfo{
-			Priority: core.Priority(srv.Priority()),
-			CapMin:   capMin,
-			CapMax:   capMax,
-			Demand:   demand,
-			Share:    share,
-		}, true
+	if s.treesStale() {
+		s.bindTrees()
 	}
-
-	var (
-		trees   []*core.Node
-		budgets []power.Watts
-		feeds   []topology.FeedID
-	)
-	for _, root := range s.topo.Roots() {
-		if s.feedFailed[root.Feed] {
-			s.lastAllocs[root.Feed] = nil
-			continue
-		}
-		tree, err := core.BuildTree(root, s.derating, src)
-		if err != nil {
-			// A feed with no working supplies has nothing to budget.
-			s.lastAllocs[root.Feed] = nil
-			continue
-		}
-		s.applyNodeBudgets(tree)
-		trees = append(trees, tree)
-		b := power.Watts(0)
-		if s.rootBudgets != nil {
-			b = s.rootBudgets[root.Feed]
-		}
-		budgets = append(budgets, b)
-		feeds = append(feeds, root.Feed)
-	}
-	s.lastTrees, s.lastTreeBudgets, s.lastTreeFeeds = trees, budgets, feeds
-	if len(trees) == 0 {
+	clear(s.lastAllocs)
+	s.lastTrees = nil
+	if len(s.trees) == 0 {
 		return
 	}
+	for i, feed := range s.treeFeeds {
+		s.treeBudgets[i] = s.rootBudgets[feed]
+	}
+	s.fillLeaves()
 
 	// With a flight recorder attached, the period's allocation is traced
-	// and every node's explain record retained; all calls no-op when the
-	// recorder (and thus pt) is nil.
-	var pt *flightrec.PeriodTrace
+	// and every node's explain record retained, in a list sized once for
+	// the trees' nodes that the record then keeps; span calls no-op when
+	// the recorder (and thus pt) is nil.
+	var (
+		pt   *flightrec.PeriodTrace
+		sink core.ExplainSink
+	)
 	if s.flightRec.Enabled() {
 		pt = flightrec.NewPeriodTrace()
+		n := 0
+		for i := range s.trees {
+			n += s.feeds.Engine(i).Len()
+		}
+		s.explains = make(explainList, 0, n)
+		sink = &s.explains
 	}
 	periodStart := time.Now()
 	root := pt.StartSpan("period", "sim", "")
 	allocSpan := pt.StartSpan("allocate", "sim", root.ID())
-
-	var (
-		allocs []*core.Allocation
-		report *core.SPOReport
-		err    error
-	)
-	if s.spo {
-		allocs, report, err = core.AllocateWithSPOExplained(trees, budgets, s.policy, pt.ExplainSink())
-	} else {
-		allocs, err = core.AllocateAllExplained(trees, budgets, s.policy, pt.ExplainSink())
-	}
-	allocSpan.End(err)
-	if err != nil {
-		panic(fmt.Sprintf("sim: allocation failed: %v", err)) // trees are built validated
-	}
-	s.lastSPO = report
+	s.feeds.Run(s.treeBudgets, s.policy, s.spo, sink)
+	allocSpan.End(nil)
 
 	// Safety monitor: every allocation must respect its tree's invariants;
 	// violations indicate a control-plane bug and are recorded for
 	// inspection rather than silently applied.
-	for i, a := range allocs {
-		if err := a.CheckInvariants(trees[i]); err != nil {
+	infeasible := false
+	for i, feed := range s.treeFeeds {
+		eng := s.feeds.Engine(i)
+		if err := eng.CheckInvariants(); err != nil {
 			s.invariantViolations = append(s.invariantViolations,
-				fmt.Sprintf("t=%s feed=%s: %v", s.now, feeds[i], err))
+				fmt.Sprintf("t=%s feed=%s: %v", s.now, feed, err))
 			s.metViolations.Inc()
 			if s.log != nil {
-				s.log.Error("allocation invariant violated", "feed", string(feeds[i]), "t", s.now, "err", err)
+				s.log.Error("allocation invariant violated", "feed", string(feed), "t", s.now, "err", err)
 			}
 		}
-		if a.Infeasible {
+		if eng.Infeasible() {
+			infeasible = true
 			s.infeasiblePeriods++
 			s.metInfeasible.Inc()
 		}
@@ -687,19 +676,12 @@ func (s *Simulator) controlPeriod() {
 
 	// Apply budgets: supplies present in a tree get their allocation;
 	// supplies on failed feeds lose their budgets.
-	clear(s.budgeted)
-	for i, a := range allocs {
-		s.lastAllocs[feeds[i]] = a
-		for supplyID, b := range a.SupplyBudgets {
-			k := s.supplyAt[supplyID]
-			s.controllers[s.supplies[k].srv].SetBudget(supplyID, b)
-			s.budgeted[k] = true
-		}
-	}
 	for k, sup := range s.supplies {
-		if !s.budgeted[k] {
-			s.controllers[sup.srv].SetBudget(sup.id, capping.Unbudgeted)
+		b := capping.Unbudgeted
+		if sl := s.leaves[k]; sl.leaf != nil {
+			b = s.feeds.Engine(sl.tree).NodeBudget(sl.node)
 		}
+		s.controllers[sup.srv].SetBudgetAt(sup.sup, b)
 	}
 
 	for _, c := range s.controllers {
@@ -708,20 +690,117 @@ func (s *Simulator) controlPeriod() {
 
 	if pt != nil {
 		root.End(nil)
-		rec := flightrec.PeriodRecord{
-			TraceID:  pt.TraceID(),
-			Start:    periodStart,
-			Duration: time.Since(periodStart),
-			Label:    fmt.Sprintf("sim t=%s", s.now),
-			Spans:    pt.Spans(),
-			Explains: pt.Explains(),
+		s.flightRec.Add(flightrec.PeriodRecord{
+			TraceID:    pt.TraceID(),
+			Start:      periodStart,
+			Duration:   time.Since(periodStart),
+			Label:      fmt.Sprintf("sim t=%s", s.now),
+			Spans:      pt.Spans(),
+			Explains:   s.explains,
+			Infeasible: infeasible,
+		})
+	}
+}
+
+// explainList collects a period's explain records for its flight-recorder
+// record.
+type explainList []core.NodeExplain
+
+func (l *explainList) Explain(e core.NodeExplain) { *l = append(*l, e) }
+
+// treesStale reports whether the bound trees no longer hold exactly the
+// live supplies — those with a share of their server's load, on a feed
+// not failed — or an overlay changed since they were built.
+func (s *Simulator) treesStale() bool {
+	if s.rebind {
+		return true
+	}
+	for r, root := range s.topo.Roots() {
+		s.rootDown[r] = s.feedFailed[root.Feed]
+	}
+	for k, sup := range s.supplies {
+		if s.live(sup) != (s.leaves[k].leaf != nil) {
+			return true
 		}
-		for _, a := range allocs {
-			if a.Infeasible {
-				rec.Infeasible = true
+	}
+	return false
+}
+
+// live reports whether a supply on a feed not failed belongs in a tree.
+func (s *Simulator) live(sup supplySlot) bool {
+	return !s.rootDown[sup.root] && s.servers[sup.srv].SupplyShareAt(sup.sup) > 0
+}
+
+// bindTrees builds a control tree over the live supplies of each feed not
+// failed, with the operator overlays applied, and rebinds the engines to
+// them. The leaves carry placeholders until fillLeaves writes each period's
+// values.
+func (s *Simulator) bindTrees() {
+	s.rebind = false
+	s.trees, s.treeFeeds = s.trees[:0], s.treeFeeds[:0]
+	clear(s.leaves)
+	for r, root := range s.topo.Roots() {
+		s.rootDown[r] = s.feedFailed[root.Feed]
+		if s.rootDown[r] {
+			continue
+		}
+		tree, err := core.BuildTree(root, s.derating, func(supplyID, _ string) (core.LeafInfo, bool) {
+			return core.LeafInfo{Share: 1}, s.live(s.supplies[s.supplyAt[supplyID]])
+		})
+		if err != nil {
+			// A feed with no working supplies has nothing to budget.
+			continue
+		}
+		s.applyNodeBudgets(tree)
+		s.trees = append(s.trees, tree)
+		s.treeFeeds = append(s.treeFeeds, root.Feed)
+	}
+	if err := s.feeds.Rebind(s.trees); err != nil {
+		panic(fmt.Sprintf("sim: rebind: %v", err)) // trees are built validated
+	}
+	for i, tree := range s.trees {
+		eng := s.feeds.Engine(i)
+		for _, n := range tree.Leaves() {
+			node, _ := eng.NodeIndex(n.ID)
+			s.leaves[s.supplyAt[n.Leaf.SupplyID]] = supplyLeaf{leaf: n.Leaf, tree: i, node: node}
+		}
+	}
+	s.treeBudgets = make([]power.Watts, len(s.trees))
+	s.lastAllocs = make([]*core.Allocation, len(s.trees))
+}
+
+// fillLeaves writes every bound leaf for this period: its server's
+// priority, envelope and estimated demand, worked out once per server,
+// and the supply's share of the server's load.
+func (s *Simulator) fillLeaves() {
+	var (
+		at             = -1 // the server the values below are for
+		demand         power.Watts
+		capMin, capMax power.Watts
+		priority       core.Priority
+	)
+	for k, sup := range s.supplies {
+		l := s.leaves[k].leaf
+		if l == nil {
+			continue
+		}
+		srv := s.servers[sup.srv]
+		if sup.srv != at {
+			at = sup.srv
+			var ok bool
+			if demand, ok = s.controllers[at].Demand(); !ok {
+				demand = s.readings[at].TotalAC
 			}
+			capMin, capMax = srv.Envelope()
+			priority = core.Priority(srv.Priority())
 		}
-		s.flightRec.Add(rec)
+		l.Share = srv.SupplyShareAt(sup.sup)
+		// Prefer the measured split ("we adjust it in practice based on
+		// how the load is actually split", Section 4.3.1).
+		if r, ok := s.measuredShare(sup.supplyRef); ok {
+			l.Share = r
+		}
+		l.Demand, l.CapMin, l.CapMax, l.Priority = demand, capMin, capMax, priority
 	}
 }
 
@@ -851,15 +930,15 @@ func (s *Simulator) evalSLOPeriod() {
 	if s.slo == nil {
 		return
 	}
-	samples := make([]slo.Sample, 0, len(s.serverIDs))
+	s.sloSamples = s.sloSamples[:0]
 	for i, id := range s.serverIDs {
-		samples = append(samples, slo.Sample{
+		s.sloSamples = append(s.sloSamples, slo.Sample{
 			Signal: slo.SignalCapViolationStreak,
 			Label:  id,
 			Value:  float64(s.controllers[i].ViolationStreak()),
 		})
 	}
-	s.slo.EvalPeriod(s.now, samples...)
+	s.slo.EvalPeriod(s.now, s.sloSamples...)
 }
 
 func (s *Simulator) cascadeTrip(nodeID string) {

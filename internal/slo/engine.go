@@ -245,12 +245,15 @@ type ruleState struct {
 // concurrency-safe; the Tracker serializes access under its mutex.
 type engine struct {
 	rules  []Rule
-	states map[string]*ruleState
-	order  []string // state keys in creation order, for stable output
+	states map[stateKey]*ruleState
+	order  []stateKey // in creation order, for stable output
 }
 
+// stateKey names one rule's state for one label.
+type stateKey struct{ rule, label string }
+
 func newEngine(rules []Rule) (*engine, error) {
-	e := &engine{states: make(map[string]*ruleState)}
+	e := &engine{states: make(map[stateKey]*ruleState)}
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return nil, err
@@ -259,8 +262,6 @@ func newEngine(rules []Rule) (*engine, error) {
 	}
 	return e, nil
 }
-
-func stateKey(rule, label string) string { return rule + "\xff" + label }
 
 // eval advances every rule against the samples and returns the state
 // transitions. A signal absent from this evaluation leaves its states
@@ -274,7 +275,7 @@ func (e *engine) eval(nowSec float64, samples []Sample) []Transition {
 			if s.Signal != rule.Signal {
 				continue
 			}
-			key := stateKey(rule.Name, s.Label)
+			key := stateKey{rule.Name, s.Label}
 			st, ok := e.states[key]
 			if !ok {
 				st = &ruleState{rule: rule, label: s.Label}

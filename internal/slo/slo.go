@@ -121,6 +121,8 @@ type Tracker struct {
 	peakRisk   float64
 	risk       map[string]float64 // per feed, latest score
 	tripped    map[string]bool    // feeds whose risk hit 1
+	feeds      []string           // EvalPeriod's buffers, reused under mu
+	samples    []Sample
 
 	metTTS        *telemetry.Histogram
 	metWorstRatio *telemetry.Gauge
@@ -294,16 +296,17 @@ func (t *Tracker) SetTripRisk(feed string, risk float64) {
 	t.metRisk.With(feed).Set(risk)
 }
 
-// builtinSamples renders the tracker's own state as engine samples.
-// Callers append domain samples (rack staleness, cap-violation streaks)
-// on top. Caller must hold t.mu.
+// builtinSamples renders the tracker's own state as engine samples into
+// t.samples, which callers extend with domain samples (rack staleness,
+// cap-violation streaks). Caller must hold t.mu.
 func (t *Tracker) builtinSamples() []Sample {
-	samples := make([]Sample, 0, len(t.risk)+2)
-	feeds := make([]string, 0, len(t.risk))
+	samples := t.samples[:0]
+	feeds := t.feeds[:0]
 	for feed := range t.risk {
 		feeds = append(feeds, feed)
 	}
 	sort.Strings(feeds)
+	t.feeds = feeds
 	for _, feed := range feeds {
 		samples = append(samples, Sample{Signal: SignalTripRisk, Label: feed, Value: t.risk[feed]})
 	}
@@ -330,8 +333,8 @@ func (t *Tracker) EvalPeriod(now time.Duration, extra ...Sample) []Transition {
 		return nil
 	}
 	t.mu.Lock()
-	samples := append(t.builtinSamples(), extra...)
-	trans := t.eng.eval(now.Seconds(), samples)
+	t.samples = append(t.builtinSamples(), extra...)
+	trans := t.eng.eval(now.Seconds(), t.samples)
 	active := t.eng.activeCount()
 	t.mu.Unlock()
 

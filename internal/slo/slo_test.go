@@ -2,6 +2,7 @@ package slo
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -373,5 +374,35 @@ func TestDebugHandler(t *testing.T) {
 	// Margin 10 clears the default 5× rule, so nothing fires.
 	if rep.Status != "ok" {
 		t.Errorf("status = %q", rep.Status)
+	}
+}
+
+// TestEvalPeriodAllocatesNothing: once every (rule, label) state exists,
+// a period evaluation over 1 080 per-server samples that moves no alert
+// allocates nothing — the tracker reuses its sample buffer and the state
+// keys are built without concatenation.
+func TestEvalPeriodAllocatesNothing(t *testing.T) {
+	tr, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetTripRisk("X", 0.1)
+	tr.SetTripRisk("Y", 0.2)
+	samples := make([]Sample, 1080)
+	for i := range samples {
+		samples[i] = Sample{Signal: SignalCapViolationStreak, Label: fmt.Sprintf("s%04d", i)}
+	}
+	now := sec(8)
+	if trans := tr.EvalPeriod(now, samples...); len(trans) != 0 {
+		t.Fatalf("warm-up evaluation fired %v", trans)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		now += sec(8)
+		if trans := tr.EvalPeriod(now, samples...); len(trans) != 0 {
+			t.Fatalf("steady evaluation fired %v", trans)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a steady EvalPeriod allocates %v times, want 0", allocs)
 	}
 }
