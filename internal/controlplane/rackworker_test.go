@@ -230,7 +230,7 @@ func TestRackWorkerInvalidLeafEdit(t *testing.T) {
 		name string
 		edit func(l *core.SupplyLeaf)
 	}{
-		{"share zero", func(l *core.SupplyLeaf) { l.Share = 0 }},
+		{"share negative", func(l *core.SupplyLeaf) { l.Share = -0.5 }},
 		{"share above one", func(l *core.SupplyLeaf) { l.Share = 1.5 }},
 		{"cap max below cap min", func(l *core.SupplyLeaf) { l.CapMax = l.CapMin - 1 }},
 		{"negative demand", func(l *core.SupplyLeaf) { l.Demand = -1 }},
@@ -420,7 +420,7 @@ func TestRackWorkerSetTreeInvalidKeepsOld(t *testing.T) {
 		"nil":          nil,
 		"no children":  core.NewShifting("x", 0),
 		"duplicate ID": core.NewShifting("x", 0, leaf("a", "A", 0, 400), leaf("a", "A", 0, 400)),
-		"bad share":    core.NewShifting("x", 0, core.NewLeaf("a", core.SupplyLeaf{SupplyID: "a", ServerID: "A", CapMax: 400})),
+		"bad share":    core.NewShifting("x", 0, core.NewLeaf("a", core.SupplyLeaf{SupplyID: "a", ServerID: "A", Share: -1, CapMax: 400})),
 	} {
 		if err := w.SetTree(bad); err == nil {
 			t.Errorf("SetTree(%s) succeeded", name)

@@ -47,6 +47,11 @@ type Allocator struct {
 	scratch    distScratch
 	infeasible bool
 	sink       ExplainSink // optional per-node audit stream; nil = free
+	// phaseBase, set with sink by a FeedSet's second pass, holds the
+	// first pass's budgets by node index: a node whose grant moved from
+	// its entry explains as PhaseSPO.
+	phaseBase []power.Watts
+	alive     []bool // explainAll's liveNodes storage
 }
 
 // NewAllocator validates the tree and flattens it for repeated allocation.
@@ -191,6 +196,12 @@ func (a *Allocator) gather(policy Policy) {
 				s.collapseFrom(s)
 			}
 		case n.IsLeaf():
+			if n.Leaf.Share == 0 {
+				// A dead supply reports nothing under any policy: no
+				// constraint and no priority level.
+				s.reset()
+				continue
+			}
 			leafMetricsInto(s, n.Leaf)
 			if policy == NoPriority {
 				s.collapseFrom(s)
@@ -198,14 +209,71 @@ func (a *Allocator) gather(policy Policy) {
 		default:
 			combineInto(s, a.summaries[fn.childStart:fn.childEnd], fn.limit)
 			// A Dynamo-style local policy reports priority-collapsed
-			// metrics above the lowest shifting level; a No Priority
-			// policy sees a single level everywhere (leaves already
-			// collapsed).
-			if policy == LocalPriority && fn.leafParent {
+			// metrics above the lowest shifting level — a node with a
+			// live leaf child; a No Priority policy sees a single level
+			// everywhere (leaves already collapsed).
+			if policy == LocalPriority && fn.leafParent && a.liveLeafChild(fn) {
 				s.collapseFrom(s)
 			}
 		}
 	}
+}
+
+// liveLeafChild reports whether a leaf parent has a live leaf child; one
+// whose leaf children are all dead is no lowest shifting level.
+func (a *Allocator) liveLeafChild(fn *flatNode) bool {
+	for c := fn.childStart; c < fn.childEnd; c++ {
+		if l := a.nodes[c].node.Leaf; l != nil && l.Share != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// hasLive reports whether the tree has a live leaf or a proxy. Leaves sit
+// at the end of the BFS order, so a live tree answers in a few steps.
+func (a *Allocator) hasLive() bool {
+	for i := len(a.nodes) - 1; i >= 0; i-- {
+		if fn := &a.nodes[i]; fn.proxy || (fn.leaf && fn.node.Leaf.Share != 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// liveNodes marks, by node index, the nodes with a live leaf or a proxy at
+// or beneath them, reusing buf when it is long enough. It returns nil when
+// no leaf is dead: every node is live.
+func (a *Allocator) liveNodes(buf []bool) []bool {
+	dead := false
+	for i := range a.nodes {
+		if a.nodes[i].leaf && a.nodes[i].node.Leaf.Share == 0 {
+			dead = true
+			break
+		}
+	}
+	if !dead {
+		return nil
+	}
+	if cap(buf) < len(a.nodes) {
+		buf = make([]bool, len(a.nodes))
+	}
+	live := buf[:len(a.nodes)]
+	for i := len(a.nodes) - 1; i >= 0; i-- {
+		fn := &a.nodes[i]
+		switch {
+		case fn.leaf:
+			live[i] = fn.node.Leaf.Share != 0
+		case fn.proxy:
+			live[i] = true
+		default:
+			live[i] = false
+			for c := fn.childStart; c < fn.childEnd && !live[i]; c++ {
+				live[i] = live[c]
+			}
+		}
+	}
+	return live
 }
 
 // Run performs one gather + budgeting pass under the given policy and root
@@ -305,14 +373,19 @@ func (a *Allocator) check(i int, err *error) power.Watts {
 }
 
 // Snapshot materializes the last Run as a map-based Allocation, the
-// portable result shape the one-shot Allocate API returns.
+// portable result shape the one-shot Allocate API returns. Dead leaves,
+// and nodes with nothing live beneath them, are left out.
 func (a *Allocator) Snapshot() *Allocation {
 	res := &Allocation{
 		SupplyBudgets: make(map[string]power.Watts),
 		NodeBudgets:   make(map[string]power.Watts, len(a.nodes)),
 		Infeasible:    a.infeasible,
 	}
+	live := a.liveNodes(nil)
 	for i := range a.nodes {
+		if live != nil && !live[i] {
+			continue
+		}
 		n := a.nodes[i].node
 		res.NodeBudgets[n.ID] = a.budgets[i]
 		if n.IsLeaf() {

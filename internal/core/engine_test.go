@@ -32,6 +32,7 @@ func TestAllocatorRecheck(t *testing.T) {
 	valid := map[string]edit{
 		"untouched":   func(*Node) {},
 		"leaf inputs": func(r *Node) { l := leafB(r); l.Demand, l.Share, l.Priority, l.BudgetCap = 300, 1, 3, 280 },
+		"dead leaf":   func(r *Node) { leafB(r).Share = 0 },
 		"new leaf struct behind the same node": func(r *Node) {
 			l := *leafB(r)
 			l.Demand = 310
@@ -52,7 +53,7 @@ func TestAllocatorRecheck(t *testing.T) {
 	}
 
 	invalid := map[string]edit{
-		"share zero":         func(r *Node) { leafB(r).Share = 0 },
+		"negative share":     func(r *Node) { leafB(r).Share = -0.5 },
 		"share above one":    func(r *Node) { leafB(r).Share = 1.01 },
 		"negative cap min":   func(r *Node) { leafB(r).CapMin = -1 },
 		"inverted envelope":  func(r *Node) { leafB(r).CapMax = 100 },
@@ -237,7 +238,7 @@ func TestAllocatorRebind(t *testing.T) {
 		"nil":          nil,
 		"no children":  NewShifting("x", 0),
 		"duplicate ID": NewShifting("x", 0, leaf("d", "D", 0, 1, 400), NewShifting("y", 0, leaf("d", "D", 0, 1, 400))),
-		"bad share":    NewShifting("x", 0, leaf("d", "D", 0, 0, 400)),
+		"bad share":    NewShifting("x", 0, leaf("d", "D", 0, -1, 400)),
 	} {
 		err := a.Rebind(bad)
 		if err == nil {

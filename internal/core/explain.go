@@ -81,10 +81,17 @@ func (f ExplainFunc) Explain(e NodeExplain) { f(e) }
 // (the default) detaches it and restores the allocation-free hot path.
 func (a *Allocator) SetExplainSink(s ExplainSink) { a.sink = s }
 
-// explainAll emits one NodeExplain per node for the last Run, in BFS
+// explainAll emits one NodeExplain per live node for the last Run, in BFS
 // (top-down) order. Only called when a sink is attached.
 func (a *Allocator) explainAll() {
+	live := a.liveNodes(a.alive)
+	if live != nil {
+		a.alive = live
+	}
 	for i := range a.nodes {
+		if live != nil && !live[i] {
+			continue
+		}
 		n := a.nodes[i].node
 		s := &a.summaries[i]
 		e := NodeExplain{
@@ -106,6 +113,9 @@ func (a *Allocator) explainAll() {
 			e.Priority = s.levels[0].Priority
 		}
 		e.Clamp = classifyClamp(a.budgets[i], s, a.infeasible)
+		if a.phaseBase != nil && !power.ApproxEqual(e.Granted, a.phaseBase[i], epsilon) {
+			e.Phase = PhaseSPO
+		}
 		a.sink.Explain(e)
 	}
 }

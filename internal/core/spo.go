@@ -36,15 +36,18 @@ type SPOReport struct {
 // power reaches servers the first pass capped. Like an Allocator it reads
 // leaf fields afresh on every Run, so an owner of the trees edits them in
 // place and rebinds only when a tree's shape or a limit changes; a steady
-// Run allocates nothing. AllocateAll, AllocateWithSPO and
-// PredictConsumption are one-shot wrappers over it.
+// Run allocates nothing. A supply failure is such an edit — its leaf's
+// Share drops to 0 — and a tree whose leaves are all dead is skipped.
+// AllocateAll, AllocateWithSPO and PredictConsumption are one-shot
+// wrappers over it.
 type FeedSet struct {
 	engines []*Allocator // engines[:n] are bound; the rest keep storage
 	n       int
+	live    []bool    // by tree: the running pass found a live leaf or proxy
 	leaves  []spoLeaf // by server ID, then tree, then preorder
 	bounds  []int     // server k's leaves are leaves[bounds[k]:bounds[k+1]]
 	pins    []spoPin  // the BudgetCaps the running detection set
-	tag     phaseTagger
+	first   []power.Watts
 	spo     bool // the last Run ran the optimization
 	report  SPOReport
 }
@@ -93,29 +96,41 @@ func (f *FeedSet) Rebind(trees []*Node) error {
 	return nil
 }
 
-// Engine returns the Allocator bound to tree i; after a Run it holds that
-// tree's budgets of the pass that stands.
+// Engine returns the Allocator bound to tree i; after a Run in which the
+// tree had a live leaf (or a proxy) it holds that tree's budgets of the
+// pass that stands.
 func (f *FeedSet) Engine(i int) *Allocator { return f.engines[:f.n][i] }
 
-// Run budgets tree i with budgets[i] (a nil slice, or a non-positive
-// entry, uses the root's constraint) under policy, then with spo runs the
-// optimization: servers in ID order, each server's leaves in tree order
-// then preorder, pins restored before Run returns. sink (may be nil) gets
-// one NodeExplain per node, in tree then BFS order, for the pass whose
+// Run budgets each live tree i with budgets[i] (a nil slice, or a
+// non-positive entry, uses the root's constraint) under policy, skipping
+// a tree whose leaves are all dead, then with spo runs the optimization:
+// servers in ID order, each server's live leaves in tree order then
+// preorder, pins restored before Run returns. sink (may be nil) gets one
+// NodeExplain per live node, in tree then BFS order, for the pass whose
 // budgets stand; a second-pass node whose grant moved reports PhaseSPO.
+// With no live tree nothing is budgeted and no report stands.
 func (f *FeedSet) Run(budgets []power.Watts, policy Policy, spo bool, sink ExplainSink) {
+	f.live = f.live[:0]
+	anyLive := false
+	for _, a := range f.engines[:f.n] {
+		live := a.hasLive()
+		f.live = append(f.live, live)
+		anyLive = anyLive || live
+	}
 	f.pass(budgets, policy, nil)
-	f.spo = spo
+	f.spo = spo && anyLive
 	f.report = SPOReport{Stranded: f.report.Stranded[:0]}
-	if spo {
+	if f.spo {
 		f.strand()
 	}
 	if len(f.pins) == 0 {
 		if sink != nil {
-			for _, a := range f.engines[:f.n] {
-				a.sink = sink
-				a.explainAll()
-				a.sink = nil
+			for i, a := range f.engines[:f.n] {
+				if f.live[i] {
+					a.sink = sink
+					a.explainAll()
+					a.sink = nil
+				}
 			}
 		}
 		return
@@ -127,31 +142,38 @@ func (f *FeedSet) Run(budgets []power.Watts, policy Policy, spo bool, sink Expla
 	f.pins = f.pins[:0]
 }
 
-// pass runs every engine once; with a sink, each engine's explains are
-// tagged against the budgets it held before the pass.
+// pass runs every live engine once; with a sink, each engine's explains
+// are tagged against the budgets it held before the pass.
 func (f *FeedSet) pass(budgets []power.Watts, policy Policy, sink ExplainSink) {
 	for i, a := range f.engines[:f.n] {
+		if !f.live[i] {
+			continue
+		}
 		var b power.Watts
 		if budgets != nil {
 			b = budgets[i]
 		}
 		if sink != nil {
-			f.tag = phaseTagger{sink: sink, first: append(f.tag.first[:0], a.budgets...)}
-			a.sink = &f.tag
+			f.first = append(f.first[:0], a.budgets...)
+			a.sink, a.phaseBase = sink, f.first
 		}
 		a.Run(b, policy)
-		a.sink = nil
+		a.sink, a.phaseBase = nil, nil
 	}
 }
 
 // strand records every stranded supply of the first pass in the report
-// and pins it at its usable watts.
+// and pins it at its usable watts. A dead leaf draws nothing and is
+// granted nothing (its tree may not even have run), so it is skipped.
 func (f *FeedSet) strand() {
 	budgetOf := func(l spoLeaf) power.Watts { return f.engines[l.tree].budgets[l.node] }
 	for k := 0; k+1 < len(f.bounds); k++ {
 		leaves := f.leaves[f.bounds[k]:f.bounds[k+1]]
 		drawn := consumption(leaves, budgetOf)
 		for _, l := range leaves {
+			if l.leaf.Share == 0 {
+				continue
+			}
 			budget := budgetOf(l)
 			usable := power.Watts(l.leaf.Share) * drawn
 			stranded := budget - usable
@@ -191,23 +213,6 @@ func (f *FeedSet) Report() *SPOReport {
 		Stranded:      append([]StrandedSupply(nil), f.report.Stranded...),
 		TotalStranded: f.report.TotalStranded,
 	}
-}
-
-// phaseTagger forwards a second pass's explains, tagging PhaseSPO on each
-// node whose grant moved from the first pass's budget at its node index
-// (explainAll emits nodes in index order).
-type phaseTagger struct {
-	sink  ExplainSink
-	first []power.Watts
-	next  int
-}
-
-func (t *phaseTagger) Explain(e NodeExplain) {
-	if !power.ApproxEqual(e.Granted, t.first[t.next], epsilon) {
-		e.Phase = PhaseSPO
-	}
-	t.next++
-	t.sink.Explain(e)
 }
 
 // consumption predicts a server's achievable AC power under the given

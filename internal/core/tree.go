@@ -35,8 +35,11 @@ type SupplyLeaf struct {
 	ServerID string
 	Priority Priority
 
-	// Share is r: the fraction of the server's load this supply carries
-	// under the current supply states.
+	// Share is r ∈ [0,1]: the fraction of the server's load this supply
+	// carries under the current supply states. 0 marks a dead supply (a
+	// failed feed, cord or PSU, or one in standby): the leaf stays in its
+	// tree, reports nothing upstream, is granted 0 and is never stranded,
+	// so a supply failure is a write to Share, not a change to the tree.
 	Share float64
 
 	// CapMin, CapMax, and Demand are whole-server AC values: the
@@ -165,8 +168,8 @@ func (m *Node) validateLocal() error {
 			return fmt.Errorf("core: leaf %q has empty supply ID", m.ID)
 		case l.ServerID == "":
 			return fmt.Errorf("core: leaf %q has empty server ID", m.ID)
-		case l.Share <= 0 || l.Share > 1:
-			return fmt.Errorf("core: leaf %q share %v out of (0,1]", m.ID, l.Share)
+		case l.Share < 0 || l.Share > 1:
+			return fmt.Errorf("core: leaf %q share %v out of [0,1] (0 is a dead supply)", m.ID, l.Share)
 		case l.CapMin < 0 || l.CapMax < l.CapMin:
 			return fmt.Errorf("core: leaf %q envelope [%v,%v] invalid", m.ID, l.CapMin, l.CapMax)
 		case l.Demand < 0:

@@ -11,8 +11,9 @@ package flightrec
 
 import (
 	"context"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"capmaestro/internal/core"
@@ -53,39 +54,31 @@ type PeriodTrace struct {
 	traceID string
 
 	mu       sync.Mutex
-	rng      *rand.Rand
 	spans    []Span
 	explains []core.NodeExplain
 }
 
-// idRand builds the ID source for one trace. math/rand is deliberate:
-// span IDs need uniqueness within a recorder, not unpredictability.
-var idSeed struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	init bool
-}
-
-func nextSeed() int64 {
-	idSeed.mu.Lock()
-	defer idSeed.mu.Unlock()
-	if !idSeed.init {
-		idSeed.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-		idSeed.init = true
-	}
-	return idSeed.rng.Int63()
-}
+// Trace and span IDs need uniqueness, not unpredictability: each is a
+// process-wide counter offset by a random per-process base and passed
+// through the SplitMix64 finalizer, a bijection on 64 bits, so no two IDs
+// of one process collide and two processes' IDs rarely do.
+var (
+	idBase = rand.Uint64()
+	idNext atomic.Uint64
+)
 
 const hexDigits = "0123456789abcdef"
 
-func randID(rng *rand.Rand) string {
+// newID returns the next ID as 16 lowercase hex digits.
+func newID() string {
+	v := idBase + idNext.Add(1)
+	v = (v ^ v>>30) * 0xbf58476d1ce4e5b9
+	v = (v ^ v>>27) * 0x94d049bb133111eb
+	v ^= v >> 31
 	var b [16]byte
-	for i := 0; i < len(b); i += 8 {
-		v := rng.Int63()
-		for j := 0; j < 8; j++ {
-			b[i+j] = hexDigits[v&0xf]
-			v >>= 4
-		}
+	for i := range b {
+		b[i] = hexDigits[v&0xf]
+		v >>= 4
 	}
 	return string(b[:])
 }
@@ -93,8 +86,7 @@ func randID(rng *rand.Rand) string {
 // NewPeriodTrace starts the trace for one control period with a fresh
 // trace ID.
 func NewPeriodTrace() *PeriodTrace {
-	rng := rand.New(rand.NewSource(nextSeed()))
-	return &PeriodTrace{traceID: randID(rng), rng: rng}
+	return &PeriodTrace{traceID: newID()}
 }
 
 // NewRemoteTrace starts a trace continuing an incoming TraceContext: spans
@@ -104,8 +96,7 @@ func NewRemoteTrace(tc *TraceContext) *PeriodTrace {
 	if tc == nil || tc.TraceID == "" {
 		return NewPeriodTrace()
 	}
-	rng := rand.New(rand.NewSource(nextSeed()))
-	return &PeriodTrace{traceID: tc.TraceID, rng: rng}
+	return &PeriodTrace{traceID: tc.TraceID}
 }
 
 // TraceID returns the trace's ID ("" on nil).
@@ -122,14 +113,11 @@ func (pt *PeriodTrace) StartSpan(name, node, parentID string) *ActiveSpan {
 	if pt == nil {
 		return nil
 	}
-	pt.mu.Lock()
-	id := randID(pt.rng)
-	pt.mu.Unlock()
 	return &ActiveSpan{
 		pt: pt,
 		span: Span{
 			TraceID:  pt.traceID,
-			SpanID:   id,
+			SpanID:   newID(),
 			ParentID: parentID,
 			Name:     name,
 			Node:     node,

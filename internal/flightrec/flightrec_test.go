@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"capmaestro/internal/core"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -192,5 +194,67 @@ func TestHTTPEndpoints(t *testing.T) {
 	// Two threads (room, rack-1) and two timed spans.
 	if meta != 2 || complete != 2 {
 		t.Errorf("trace.json has %d metadata + %d complete events, want 2+2: %s", meta, complete, body)
+	}
+}
+
+// TestIDsDistinct: trace and span IDs, drawn from one process-wide
+// source, are 16 lowercase hex digits and never repeat — across traces,
+// across spans of one trace, and between the two.
+func TestIDsDistinct(t *testing.T) {
+	seen := make(map[string]bool, 10000)
+	add := func(id string) {
+		t.Helper()
+		if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+			t.Fatalf("ID %q is not 16 lowercase hex digits", id)
+		}
+		if seen[id] {
+			t.Fatalf("ID %q repeated after %d IDs", id, len(seen))
+		}
+		seen[id] = true
+	}
+	for len(seen) < 10000 {
+		pt := NewPeriodTrace()
+		add(pt.TraceID())
+		for i := 0; i < 9; i++ {
+			add(pt.StartSpan("s", "n", "").ID())
+		}
+	}
+}
+
+// TestSpareExplains: once the ring is full, SpareExplains evicts the
+// oldest record and hands its explain list back for reuse, and no reader
+// ever sees the reuse: Get and Records return copies.
+func TestSpareExplains(t *testing.T) {
+	r := NewRecorder(2)
+	list := func(id string) []core.NodeExplain {
+		return []core.NodeExplain{{NodeID: id, Granted: 1}, {NodeID: id + "-leaf", Leaf: true}}
+	}
+	first := list("a")
+	for i, ex := range [][]core.NodeExplain{first, list("b")} {
+		if spare := r.SpareExplains(); spare != nil {
+			t.Fatalf("SpareExplains with %d of 2 records held = %v, want nil", i, spare)
+		}
+		r.Add(PeriodRecord{Explains: ex})
+	}
+	got, _ := r.Get(0)
+	recs := r.Records()
+	got.Explains[0].NodeID = "edited"
+	if again, _ := r.Get(0); again.Explains[0].NodeID != "a" {
+		t.Fatalf("editing Get's copy reached the ring: %+v", again.Explains)
+	}
+
+	spare := r.SpareExplains()
+	if len(spare) != 0 || cap(spare) != cap(first) || &spare[:1][0] != &first[0] {
+		t.Fatalf("spare len %d cap %d, want the evicted record's list emptied", len(spare), cap(spare))
+	}
+	if _, ok := r.Get(0); ok || len(r.Records()) != 1 {
+		t.Fatalf("record 0 still held after SpareExplains: %+v", r.Records())
+	}
+	r.Add(PeriodRecord{Explains: append(spare, list("c")...)})
+	if recs[0].Explains[0].NodeID != "a" || recs[1].Explains[0].NodeID != "b" {
+		t.Fatalf("reusing the spare list changed an earlier Records copy: %+v", recs)
+	}
+	if held := r.Records(); len(held) != 2 || held[0].ID != 1 || held[1].Explains[0].NodeID != "c" {
+		t.Fatalf("ring holds %+v, want records 1 and 2 (c)", held)
 	}
 }

@@ -90,10 +90,11 @@ func (r *Recorder) serveChromeTrace(w http.ResponseWriter) {
 // span nesting within a row comes from time containment, which the
 // parent/child timing guarantees.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	recs := r.Records()
 	var spans []Span
-	for i := range recs {
-		spans = append(spans, recs[i].Spans...)
+	if r != nil {
+		r.mu.Lock()
+		r.each(func(rec *PeriodRecord) { spans = append(spans, rec.Spans...) })
+		r.mu.Unlock()
 	}
 	out := chromeTrace{DisplayUnit: "ms", TraceEvents: []chromeEvent{}}
 	if len(spans) == 0 {

@@ -1,6 +1,7 @@
 package flightrec
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -110,7 +111,9 @@ func NewRecorder(size int) *Recorder {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Add assigns the record its sequence ID and stores it, evicting the
-// oldest record when the ring is full. The assigned ID is returned.
+// oldest record when the ring is full. The assigned ID is returned. The
+// record's Explains belong to the recorder from then on: readers get
+// copies, and SpareExplains hands the list back once the record leaves.
 func (r *Recorder) Add(rec PeriodRecord) uint64 {
 	if r == nil {
 		return 0
@@ -125,6 +128,26 @@ func (r *Recorder) Add(rec PeriodRecord) uint64 {
 		r.n++
 	}
 	return rec.ID
+}
+
+// SpareExplains lets a producer that records explains every period fill
+// one list over and over instead of allocating one per period. When the
+// ring is full it evicts the oldest record now, as the next Add would,
+// and returns that record's explain list emptied, for the caller to fill
+// and pass to Add; otherwise it returns nil.
+func (r *Recorder) SpareExplains() []core.NodeExplain {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n < len(r.ring) {
+		return nil
+	}
+	spare := r.ring[r.head].Explains[:0]
+	r.ring[r.head] = PeriodRecord{}
+	r.n--
+	return spare
 }
 
 // Annotate attaches an annotation to the most recently added record —
@@ -158,7 +181,14 @@ func (r *Recorder) Get(id uint64) (PeriodRecord, bool) {
 		return PeriodRecord{}, false
 	}
 	idx := (r.head - int(r.next-id) + 2*len(r.ring)) % len(r.ring)
-	return r.ring[idx], true
+	return detached(r.ring[idx]), true
+}
+
+// detached returns rec with its own copy of the explain list, which the
+// ring may hand to a producer for reuse once the record is evicted.
+func detached(rec PeriodRecord) PeriodRecord {
+	rec.Explains = slices.Clone(rec.Explains)
+	return rec
 }
 
 // Records returns the retained records, oldest first.
@@ -169,20 +199,29 @@ func (r *Recorder) Records() []PeriodRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]PeriodRecord, 0, r.n)
+	r.each(func(rec *PeriodRecord) { out = append(out, detached(*rec)) })
+	return out
+}
+
+// each calls f on every retained record, oldest first. The caller holds
+// r.mu.
+func (r *Recorder) each(f func(rec *PeriodRecord)) {
 	start := (r.head - r.n + len(r.ring)) % len(r.ring)
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.ring[(start+i)%len(r.ring)])
+		f(&r.ring[(start+i)%len(r.ring)])
 	}
-	return out
 }
 
 // Summaries returns list-view projections of the retained records, newest
 // first (the order /debug/periods serves them in).
 func (r *Recorder) Summaries() []PeriodSummary {
-	recs := r.Records()
-	out := make([]PeriodSummary, 0, len(recs))
-	for i := len(recs) - 1; i >= 0; i-- {
-		rec := &recs[i]
+	if r == nil {
+		return []PeriodSummary{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]PeriodSummary, 0, r.n)
+	r.each(func(rec *PeriodRecord) {
 		out = append(out, PeriodSummary{
 			ID:           rec.ID,
 			TraceID:      rec.TraceID,
@@ -198,6 +237,7 @@ func (r *Recorder) Summaries() []PeriodSummary {
 			Explains:     len(rec.Explains),
 			Annotations:  len(rec.Annotations),
 		})
-	}
+	})
+	slices.Reverse(out)
 	return out
 }

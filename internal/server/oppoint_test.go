@@ -43,9 +43,13 @@ func recomputed(s *Server) (dc, ac power.Watts, throttle float64, supplyAC []pow
 // call that moves a server's inputs — utilization, cap requests, actuation
 // steps (with hot-spare toggles), supply failures — and requires each
 // reader to equal a from-scratch recomputation exactly after every call.
+// A second sequence per server changes utilization while a cap is still
+// actuating and steps on, since Step re-solves only the cap-dependent part
+// of the operating point and must find the utilization-dependent part
+// already current.
 func TestOperatingPointMatchesRecomputation(t *testing.T) {
 	states := []SupplyState{SupplyActive, SupplyStandby, SupplyFailed}
-	var stepToggles int
+	var stepToggles, midActuation int
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{
@@ -140,8 +144,25 @@ func TestOperatingPointMatchesRecomputation(t *testing.T) {
 				check("ConfigureHotSpare")
 			}
 		}
+		for i := 0; i < 50; i++ {
+			s.SetDCCap(lo + power.Watts(rng.Float64())*(hi-lo))
+			s.Step(time.Second)
+			check("Step toward a new cap")
+			s.SetUtilization(rng.Float64())
+			check("SetUtilization mid-actuation")
+			if s.EffectiveDCCap() != s.TargetDCCap() {
+				midActuation++
+			}
+			for k := rng.Intn(3); k >= 0; k-- {
+				s.Step(time.Second)
+				check("Step after SetUtilization")
+			}
+		}
 	}
 	if stepToggles == 0 {
 		t.Fatal("no hot-spare toggle happened inside Step; the sequences do not cover applyHotSpares")
+	}
+	if midActuation == 0 {
+		t.Fatal("no utilization change landed mid-actuation; the sequences do not cover Step's partial re-solve")
 	}
 }

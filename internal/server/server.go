@@ -141,7 +141,9 @@ type Server struct {
 
 	// The operating point is a pure function of (util, effDCCap), and the
 	// supply shares of the supply states; both are recomputed where those
-	// inputs change (refresh, refreshShares) so every reader is a load.
+	// inputs change so every reader is a load. demandDC and floorDC depend
+	// on util alone (refresh), dcPower and acPower on the cap as well
+	// (refreshPower), and the shares on the supply states (refreshShares).
 	demandDC, floorDC, dcPower, acPower power.Watts
 	shares                              []float64 // renormalized split per supply
 
@@ -357,7 +359,7 @@ func (s *Server) Step(dt time.Duration) {
 		if power.ApproxEqual(s.effDCCap, s.targetDCCap, 0.01) {
 			s.effDCCap = s.targetDCCap
 		}
-		s.refresh()
+		s.refreshPower()
 	}
 	s.applyHotSpares()
 }
@@ -398,10 +400,16 @@ func (s *Server) acFloor() power.Watts {
 	return s.model.Idle + power.Watts(s.util)*(s.model.CapMin-s.model.Idle) + s.uncontrolled
 }
 
-// refresh recomputes the operating point after util or effDCCap moves.
+// refresh recomputes the operating point after util moves.
 func (s *Server) refresh() {
 	s.demandDC = s.dcAt(s.ACDemand())
 	s.floorDC = s.dcAt(s.acFloor())
+	s.refreshPower()
+}
+
+// refreshPower recomputes the draw after effDCCap moves: the demand and
+// floor it clamps between are functions of util alone and stand.
+func (s *Server) refreshPower() {
 	s.dcPower = power.Max(power.Min(s.demandDC, s.effDCCap), s.floorDC)
 	s.acPower = s.acAt(s.dcPower)
 }

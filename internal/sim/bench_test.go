@@ -43,11 +43,10 @@ func mirroredFleet(tb testing.TB, rpps, racksPerRPP, perRack int, rackRating pow
 	return topo, servers
 }
 
-// BenchmarkSimPeriod times one 8-tick control period — eight rounds of
-// actuation, sensing, breaker heat and SLO scoring plus one allocation —
-// over a mirrored 2-feed fleet of 4 RPPs × 9 racks × 30 dual-corded
-// servers (1 080 servers), with feed X down so every rack is capped on Y.
-func BenchmarkSimPeriod(b *testing.B) {
+// benchFleet builds BenchmarkSimPeriod's simulator: a mirrored 2-feed
+// fleet of 4 RPPs × 9 racks × 30 dual-corded servers (1 080 servers), SLO
+// tracker attached and SPO on, with feed X down and capping settled on Y.
+func benchFleet(b *testing.B) *Simulator {
 	const (
 		rpps, racksPerRPP, perRack = 4, 9, 30
 		rackRating                 = 10800
@@ -75,13 +74,43 @@ func BenchmarkSimPeriod(b *testing.B) {
 	if tripped := s.TrippedBreakers(); len(tripped) > 0 {
 		b.Fatalf("breakers tripped during warm-up: %v", tripped)
 	}
+	return s
+}
+
+// benchPeriods times b.N control periods, each after fault(i), and fails
+// the benchmark if a breaker tripped.
+func benchPeriods(b *testing.B, s *Simulator, fault func(i int)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		fault(i)
 		s.Run(DefaultControlPeriod)
 	}
 	b.StopTimer()
 	if tripped := s.TrippedBreakers(); len(tripped) > 0 {
 		b.Fatalf("breakers tripped: %v", tripped)
 	}
+}
+
+// BenchmarkSimPeriod times one 8-tick control period — eight rounds of
+// actuation, sensing, breaker heat and SLO scoring plus one allocation —
+// over benchFleet, with feed X down so every rack is capped on Y.
+func BenchmarkSimPeriod(b *testing.B) {
+	benchPeriods(b, benchFleet(b), func(int) {})
+}
+
+// BenchmarkSimFaultPeriod is BenchmarkSimPeriod with a fault at every
+// period: feed X is restored and feed Y fails, then the reverse, so each
+// period is the first after a failure and a restore and budgets one live
+// tree, as a steady one does.
+func BenchmarkSimFaultPeriod(b *testing.B) {
+	s := benchFleet(b)
+	benchPeriods(b, s, func(i int) {
+		up, down := topology.FeedID("X"), topology.FeedID("Y")
+		if i%2 == 1 {
+			up, down = down, up
+		}
+		s.RestoreFeed(up)
+		s.FailFeed(down)
+	})
 }

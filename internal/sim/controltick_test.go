@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -47,6 +48,65 @@ func TestSimControlTickAllocs(t *testing.T) {
 	}
 	if tripped := s.TrippedBreakers(); len(tripped) > 0 {
 		t.Fatalf("breakers tripped: %v", tripped)
+	}
+}
+
+// TestSimFaultPeriodAllocs: a fault is a write to the leaves' shares, not
+// a rebuild of the control trees, so the first control period after
+// FailFeed, after a breaker cascade trip and after RestoreFeed allocates
+// no more than a steady one, within the same gate. One Y rack is rated to
+// hold its share with both feeds up and to trip once feed X's load shifts
+// onto it. No SLO tracker is attached: a fault fires alerts, and the alert
+// engine formats an annotation for each transition, which is its cost,
+// not the control period's.
+func TestSimFaultPeriodAllocs(t *testing.T) {
+	const gate = 50
+	topo, servers := mirroredFleet(t, 2, 3, 6, 3000)
+	topo.Node("Y-rpp0-rack0").Rating = 1000
+	s, err := New(Config{
+		Topology: topo, Servers: servers, Policy: core.GlobalPriority, SPO: true,
+		RootBudgets: map[topology.FeedID]power.Watts{"X": 2 * 3 * 3000, "Y": 2 * 3 * 3000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(4 * DefaultControlPeriod)
+	toBoundary := func() {
+		if r := s.Now() % DefaultControlPeriod; r != 0 {
+			s.Run(DefaultControlPeriod - r)
+		}
+	}
+	firstPeriod := func(after string) {
+		t.Helper()
+		var before, done runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Run(DefaultControlPeriod)
+		runtime.ReadMemStats(&done)
+		n := done.Mallocs - before.Mallocs
+		t.Logf("first control period after %s: %d allocations", after, n)
+		if n > gate {
+			t.Errorf("the first control period after %s allocates %d times, want ≤ %d", after, n, gate)
+		}
+	}
+
+	s.FailFeed("X")
+	firstPeriod("FailFeed")
+	for len(s.TrippedBreakers()) == 0 {
+		if s.Now() > time.Hour {
+			t.Fatal("Y-rpp0-rack0 never tripped with feed X down")
+		}
+		s.Run(time.Second)
+	}
+	if got := s.TrippedBreakers(); len(got) != 1 || got[0] != "Y-rpp0-rack0" {
+		t.Fatalf("tripped %v, want [Y-rpp0-rack0]", got)
+	}
+	toBoundary()
+	firstPeriod("a cascade trip")
+	s.Run(2 * DefaultControlPeriod)
+	s.RestoreFeed("X")
+	firstPeriod("RestoreFeed")
+	if got := s.TrippedBreakers(); len(got) != 1 {
+		t.Fatalf("tripped %v after the restore, want only Y-rpp0-rack0", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -216,34 +215,47 @@ func (s *Simulator) applyNodeBudgets(tree *core.Node) {
 // LastControlTrees returns the control trees, root budgets, and feeds the
 // most recent control period allocated against (nil before the first
 // period). The trees are the allocator's actual input — operator
-// overlays applied, failed feeds pruned — so running the refalloc
-// reference over them must reproduce the simulator's applied budgets
-// watt-for-watt.
+// overlays applied, dead supplies and the subtrees and trees with nothing
+// live in them left out — so running the refalloc reference over them
+// must reproduce the simulator's applied budgets watt-for-watt.
 //
 // They are copies, made on the first call after each period: the
 // simulator's own trees are rewritten in place every period.
-func (s *Simulator) LastControlTrees() ([]*core.Node, []power.Watts, []topology.FeedID) {
-	if len(s.trees) == 0 {
-		return nil, nil, nil
-	}
-	if s.lastTrees == nil {
-		for _, t := range s.trees {
-			s.lastTrees = append(s.lastTrees, cloneTree(t))
+func (s *Simulator) LastControlTrees() (trees []*core.Node, budgets []power.Watts, feeds []topology.FeedID) {
+	build := s.lastTrees == nil
+	for i, t := range s.trees {
+		if !s.treeLive[i] {
+			continue
 		}
+		if build {
+			s.lastTrees = append(s.lastTrees, cloneLive(t))
+		}
+		budgets = append(budgets, s.treeBudgets[i])
+		feeds = append(feeds, s.treeFeeds[i])
 	}
-	return s.lastTrees, slices.Clone(s.treeBudgets), slices.Clone(s.treeFeeds)
+	return s.lastTrees, budgets, feeds
 }
 
-// cloneTree deep-copies a control tree, leaves included.
-func cloneTree(n *core.Node) *core.Node {
+// cloneLive deep-copies the live part of a control tree, leaves included:
+// nil for a dead leaf and for a subtree with no live leaf.
+func cloneLive(n *core.Node) *core.Node {
 	c := *n
 	if n.Leaf != nil {
+		if n.Leaf.Share == 0 {
+			return nil
+		}
 		l := *n.Leaf
 		c.Leaf = &l
+		return &c
 	}
 	c.Children = nil
 	for _, child := range n.Children {
-		c.Children = append(c.Children, cloneTree(child))
+		if cc := cloneLive(child); cc != nil {
+			c.Children = append(c.Children, cc)
+		}
+	}
+	if c.Children == nil {
+		return nil
 	}
 	return &c
 }

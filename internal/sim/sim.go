@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"time"
 
@@ -129,17 +130,17 @@ type Simulator struct {
 	feedFailed map[topology.FeedID]bool
 
 	// The control tick runs on persistent engines: feeds holds one per
-	// live feed tree, and trees, treeFeeds and treeBudgets are those
-	// trees, their feeds and the last period's root budgets. leaves finds
-	// each supply's leaf by supplies index (nil leaf: in no tree). The
-	// trees are rebuilt, and the engines rebound, only when a supply joins
-	// or leaves them or rebind is set by an overlay change.
+	// topology root, over all of its supplies, and trees, treeFeeds and
+	// treeBudgets are those trees, their feeds and the last period's root
+	// budgets. leaves finds each supply's leaf by supplies index. A fault
+	// is a leaf Share of 0, so the trees are built in New and rebuilt only
+	// when rebind is set by an overlay change.
 	feeds       core.FeedSet
 	trees       []*core.Node
 	treeFeeds   []topology.FeedID
 	treeBudgets []power.Watts
+	treeLive    []bool // by tree: it had a live leaf in the last period
 	leaves      []supplyLeaf
-	rootDown    []bool // per-period scratch, by topology root
 	rebind      bool
 
 	// What LastAllocation and LastControlTrees hand out for the last
@@ -192,9 +193,9 @@ type supplyRef struct{ srv, sup int }
 
 // supplySlot is one row of the supply table.
 type supplySlot struct {
-	id   string
-	feed topology.FeedID
-	root int // index of its topology root
+	id       string
+	feed     topology.FeedID
+	feedDown bool // its feed has failed
 	supplyRef
 }
 
@@ -244,7 +245,6 @@ func New(cfg Config) (*Simulator, error) {
 		supplyAt:      make(map[string]int),
 		nodeSupplies:  make(map[string][]supplyRef),
 		feedFailed:    make(map[topology.FeedID]bool),
-		rebind:        true,
 		cordoned:      make(map[string]bool),
 		drainedUtil:   make(map[string]float64),
 		nodeBudgets:   make(map[string]power.Watts),
@@ -316,20 +316,17 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.readings = make([]server.Reading, len(s.servers))
 	s.leaves = make([]supplyLeaf, len(s.supplies))
-	s.rootDown = make([]bool, len(cfg.Topology.Roots()))
 
 	// Every node's supplies in Walk order, then one breaker per rated
 	// distribution node, remembering which feed each breaker protects for
 	// per-feed trip-risk scoring.
 	breakerFeed := make(map[string]string)
-	for r, root := range cfg.Topology.Roots() {
+	for _, root := range cfg.Topology.Roots() {
 		var flat []supplyRef
 		root.Walk(func(n *topology.Node) bool {
 			switch {
 			case n.Kind == topology.KindSupply:
-				sup := &s.supplies[s.supplyAt[n.ID]]
-				sup.root = r
-				flat = append(flat, sup.supplyRef)
+				flat = append(flat, s.supplies[s.supplyAt[n.ID]].supplyRef)
 			case n.Rating > 0:
 				breakerFeed[n.ID] = string(root.Feed)
 			}
@@ -351,6 +348,7 @@ func New(cfg Config) (*Simulator, error) {
 			supplies: s.nodeSupplies[id],
 		})
 	}
+	s.bindTrees()
 	return s, nil
 }
 
@@ -412,9 +410,10 @@ func (s *Simulator) Controller(serverID string) *capping.Controller {
 
 // LastAllocation returns the most recent allocation for a feed (nil when
 // the feed had no live tree), materialized from its engine on first use.
+// Dead supplies, and nodes with no live supply beneath them, are left out.
 func (s *Simulator) LastAllocation(feed topology.FeedID) *core.Allocation {
 	for i := len(s.treeFeeds) - 1; i >= 0; i-- {
-		if s.treeFeeds[i] == feed {
+		if s.treeFeeds[i] == feed && s.treeLive[i] {
 			if s.lastAllocs[i] == nil {
 				s.lastAllocs[i] = s.feeds.Engine(i).Snapshot()
 			}
@@ -507,8 +506,7 @@ func (s *Simulator) FailFeed(feed topology.FeedID) {
 	if !s.feedFailed[feed] {
 		s.slo.RecordFault(s.now, "feed-fail:"+string(feed))
 	}
-	s.feedFailed[feed] = true
-	s.setFeedSupplies(feed, server.SupplyFailed)
+	s.setFeed(feed, true)
 	if s.log != nil {
 		s.log.Warn("feed failed", "feed", string(feed), "t", s.now)
 	}
@@ -516,20 +514,25 @@ func (s *Simulator) FailFeed(feed topology.FeedID) {
 
 // RestoreFeed brings a failed feed back.
 func (s *Simulator) RestoreFeed(feed topology.FeedID) {
-	s.feedFailed[feed] = false
-	s.setFeedSupplies(feed, server.SupplyActive)
+	s.setFeed(feed, false)
 	if s.log != nil {
 		s.log.Info("feed restored", "feed", string(feed), "t", s.now)
 	}
 }
 
-func (s *Simulator) setFeedSupplies(feed topology.FeedID, state server.SupplyState) {
-	for _, sup := range s.supplies {
-		if sup.feed != feed {
-			continue
-		}
-		if err := s.servers[sup.srv].SetSupplyState(sup.id, state); err != nil {
-			panic(err) // supply/server wiring is validated at construction
+// setFeed fails or restores a feed and every supply on it.
+func (s *Simulator) setFeed(feed topology.FeedID, failed bool) {
+	s.feedFailed[feed] = failed
+	state := server.SupplyActive
+	if failed {
+		state = server.SupplyFailed
+	}
+	for k := range s.supplies {
+		if sup := &s.supplies[k]; sup.feed == feed {
+			sup.feedDown = failed
+			if err := s.servers[sup.srv].SetSupplyState(sup.id, state); err != nil {
+				panic(err) // supply/server wiring is validated at construction
+			}
 		}
 	}
 }
@@ -617,23 +620,25 @@ func (s *Simulator) tick() {
 // live feed tree, then applies the resulting per-supply budgets to the
 // capping controllers and runs their PI iterations.
 func (s *Simulator) controlPeriod() {
-	if s.treesStale() {
+	if s.rebind {
 		s.bindTrees()
 	}
 	clear(s.lastAllocs)
 	s.lastTrees = nil
-	if len(s.trees) == 0 {
+	if !s.fillLeaves() {
+		// Nothing live to budget: a run over all-dead trees skips them
+		// all and leaves no allocation or stranded-power report standing.
+		s.feeds.Run(nil, s.policy, s.spo, nil)
 		return
 	}
 	for i, feed := range s.treeFeeds {
 		s.treeBudgets[i] = s.rootBudgets[feed]
 	}
-	s.fillLeaves()
 
 	// With a flight recorder attached, the period's allocation is traced
-	// and every node's explain record retained, in a list sized once for
-	// the trees' nodes that the record then keeps; span calls no-op when
-	// the recorder (and thus pt) is nil.
+	// and every live node's explain record kept in the record, in a list
+	// sized for all the trees' nodes: once the ring is full, the list of
+	// the record it evicts. Span calls no-op when pt is nil.
 	var (
 		pt   *flightrec.PeriodTrace
 		sink core.ExplainSink
@@ -644,7 +649,7 @@ func (s *Simulator) controlPeriod() {
 		for i := range s.trees {
 			n += s.feeds.Engine(i).Len()
 		}
-		s.explains = make(explainList, 0, n)
+		s.explains = slices.Grow(explainList(s.flightRec.SpareExplains()), n)
 		sink = &s.explains
 	}
 	periodStart := time.Now()
@@ -658,6 +663,9 @@ func (s *Simulator) controlPeriod() {
 	// inspection rather than silently applied.
 	infeasible := false
 	for i, feed := range s.treeFeeds {
+		if !s.treeLive[i] {
+			continue
+		}
 		eng := s.feeds.Engine(i)
 		if err := eng.CheckInvariants(); err != nil {
 			s.invariantViolations = append(s.invariantViolations,
@@ -674,11 +682,11 @@ func (s *Simulator) controlPeriod() {
 		}
 	}
 
-	// Apply budgets: supplies present in a tree get their allocation;
-	// supplies on failed feeds lose their budgets.
+	// Apply budgets: live supplies get their allocation; dead ones, on
+	// failed feeds or carrying no load, lose their budgets.
 	for k, sup := range s.supplies {
 		b := capping.Unbudgeted
-		if sl := s.leaves[k]; sl.leaf != nil {
+		if sl := s.leaves[k]; sl.leaf.Share != 0 {
 			b = s.feeds.Engine(sl.tree).NodeBudget(sl.node)
 		}
 		s.controllers[sup.srv].SetBudgetAt(sup.sup, b)
@@ -708,48 +716,19 @@ type explainList []core.NodeExplain
 
 func (l *explainList) Explain(e core.NodeExplain) { *l = append(*l, e) }
 
-// treesStale reports whether the bound trees no longer hold exactly the
-// live supplies — those with a share of their server's load, on a feed
-// not failed — or an overlay changed since they were built.
-func (s *Simulator) treesStale() bool {
-	if s.rebind {
-		return true
-	}
-	for r, root := range s.topo.Roots() {
-		s.rootDown[r] = s.feedFailed[root.Feed]
-	}
-	for k, sup := range s.supplies {
-		if s.live(sup) != (s.leaves[k].leaf != nil) {
-			return true
-		}
-	}
-	return false
-}
-
-// live reports whether a supply on a feed not failed belongs in a tree.
-func (s *Simulator) live(sup supplySlot) bool {
-	return !s.rootDown[sup.root] && s.servers[sup.srv].SupplyShareAt(sup.sup) > 0
-}
-
-// bindTrees builds a control tree over the live supplies of each feed not
-// failed, with the operator overlays applied, and rebinds the engines to
-// them. The leaves carry placeholders until fillLeaves writes each period's
+// bindTrees builds a control tree over every supply of each topology
+// root, with the operator overlays applied, and binds the engines to them.
+// The leaves carry placeholders until fillLeaves writes each period's
 // values.
 func (s *Simulator) bindTrees() {
 	s.rebind = false
 	s.trees, s.treeFeeds = s.trees[:0], s.treeFeeds[:0]
-	clear(s.leaves)
-	for r, root := range s.topo.Roots() {
-		s.rootDown[r] = s.feedFailed[root.Feed]
-		if s.rootDown[r] {
-			continue
-		}
-		tree, err := core.BuildTree(root, s.derating, func(supplyID, _ string) (core.LeafInfo, bool) {
-			return core.LeafInfo{Share: 1}, s.live(s.supplies[s.supplyAt[supplyID]])
+	for _, root := range s.topo.Roots() {
+		tree, err := core.BuildTree(root, s.derating, func(string, string) (core.LeafInfo, bool) {
+			return core.LeafInfo{Share: 1}, true
 		})
 		if err != nil {
-			// A feed with no working supplies has nothing to budget.
-			continue
+			continue // a root without supplies has nothing to budget
 		}
 		s.applyNodeBudgets(tree)
 		s.trees = append(s.trees, tree)
@@ -766,24 +745,25 @@ func (s *Simulator) bindTrees() {
 		}
 	}
 	s.treeBudgets = make([]power.Watts, len(s.trees))
+	s.treeLive = make([]bool, len(s.trees))
 	s.lastAllocs = make([]*core.Allocation, len(s.trees))
 }
 
-// fillLeaves writes every bound leaf for this period: its server's
-// priority, envelope and estimated demand, worked out once per server,
-// and the supply's share of the server's load.
-func (s *Simulator) fillLeaves() {
+// fillLeaves writes every leaf for this period: its server's priority,
+// envelope and estimated demand, worked out once per server, and the
+// supply's share of the server's load — 0 for a dead supply, one on a
+// failed feed or carrying none of its server's load — and marks the trees
+// with a live leaf. It reports whether any supply is live.
+func (s *Simulator) fillLeaves() (live bool) {
 	var (
 		at             = -1 // the server the values below are for
 		demand         power.Watts
 		capMin, capMax power.Watts
 		priority       core.Priority
 	)
+	clear(s.treeLive)
 	for k, sup := range s.supplies {
 		l := s.leaves[k].leaf
-		if l == nil {
-			continue
-		}
 		srv := s.servers[sup.srv]
 		if sup.srv != at {
 			at = sup.srv
@@ -794,14 +774,19 @@ func (s *Simulator) fillLeaves() {
 			capMin, capMax = srv.Envelope()
 			priority = core.Priority(srv.Priority())
 		}
-		l.Share = srv.SupplyShareAt(sup.sup)
-		// Prefer the measured split ("we adjust it in practice based on
-		// how the load is actually split", Section 4.3.1).
-		if r, ok := s.measuredShare(sup.supplyRef); ok {
+		l.Share = 0
+		if r := srv.SupplyShareAt(sup.sup); r > 0 && !sup.feedDown {
+			live, s.treeLive[s.leaves[k].tree] = true, true
 			l.Share = r
+			// Prefer the measured split ("we adjust it in practice based
+			// on how the load is actually split", Section 4.3.1).
+			if r, ok := s.measuredShare(sup.supplyRef); ok {
+				l.Share = r
+			}
 		}
 		l.Demand, l.CapMin, l.CapMax, l.Priority = demand, capMin, capMax, priority
 	}
+	return live
 }
 
 // measuredShare derives a supply's live share of its server's load from the
