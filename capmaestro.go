@@ -1,21 +1,17 @@
 package capmaestro
 
 import (
-	"io"
 	"time"
 
-	"capmaestro/internal/capping"
 	"capmaestro/internal/controlplane"
 	"capmaestro/internal/core"
 	"capmaestro/internal/dc"
 	"capmaestro/internal/flightrec"
 	"capmaestro/internal/power"
 	"capmaestro/internal/scheduler"
-	"capmaestro/internal/server"
 	"capmaestro/internal/sim"
 	"capmaestro/internal/slo"
 	"capmaestro/internal/telemetry"
-	"capmaestro/internal/topocheck"
 	"capmaestro/internal/topology"
 	"capmaestro/internal/workload"
 )
@@ -24,17 +20,10 @@ import (
 type (
 	// Watts is the power unit used throughout the library.
 	Watts = power.Watts
-	// ServerModel is a server's controllable AC power envelope
-	// (idle, Pcap_min, Pcap_max).
-	ServerModel = power.ServerModel
 )
 
 // Kilowatts constructs a Watts value from kilowatts.
 func Kilowatts(kw float64) Watts { return power.Kilowatts(kw) }
-
-// DefaultServerModel returns the paper's Table 4 server class:
-// idle 160 W, Pcap_min 270 W, Pcap_max 490 W.
-func DefaultServerModel() ServerModel { return power.DefaultServerModel() }
 
 // Control trees and allocation (the paper's core algorithm).
 type (
@@ -48,8 +37,6 @@ type (
 	SupplyLeaf = core.SupplyLeaf
 	// Allocation is the result of one budgeting run.
 	Allocation = core.Allocation
-	// Summary is the priority-grouped metrics a subtree reports upstream.
-	Summary = core.Summary
 	// SPOReport describes stranded power found and reclaimed.
 	SPOReport = core.SPOReport
 )
@@ -96,15 +83,6 @@ func AllocateWithSPO(trees []*Node, budgets []Watts, policy Policy) ([]*Allocati
 	return core.AllocateWithSPO(trees, budgets, policy)
 }
 
-// PredictConsumption returns each server's achievable AC power under the
-// given allocations, accounting for intrinsic per-supply load splits.
-func PredictConsumption(trees []*Node, allocs []*Allocation) map[string]Watts {
-	return core.PredictConsumption(trees, allocs)
-}
-
-// ParsePolicy converts "none", "local", or "global" to a Policy.
-func ParsePolicy(name string) (Policy, error) { return core.ParsePolicy(name) }
-
 // Physical topology modelling.
 type (
 	// Topology is a set of per-feed power-distribution trees.
@@ -146,42 +124,8 @@ func NewTopologySupply(id, serverID string, split float64) *TopologyNode {
 	return topology.NewSupply(id, serverID, split)
 }
 
-// DefaultDerating applies the conventional 80% sustained-loading rule.
-func DefaultDerating() Derating { return topology.DefaultDerating() }
-
 // FullRating uses 100% of each rating (for already-derated limits).
 func FullRating() Derating { return topology.FullRating() }
-
-// ReadTopologyJSON parses and validates a declarative topology document
-// (see cmd/topoctl -example for the format).
-func ReadTopologyJSON(r io.Reader) (*Topology, error) { return topology.ReadJSON(r) }
-
-// Servers and capping controllers.
-type (
-	// Server is a simulated dual-corded server with a node manager.
-	Server = server.Server
-	// ServerConfig describes a server to simulate.
-	ServerConfig = server.Config
-	// Supply is one power supply of a server.
-	Supply = server.Supply
-	// Controller is the per-supply PI capping controller (Section 4.2).
-	Controller = capping.Controller
-	// ControllerConfig tunes a capping controller.
-	ControllerConfig = capping.Config
-)
-
-// NewServer constructs a simulated server.
-func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
-
-// NewController builds a capping controller for a node (a *Server or any
-// implementation of the capping.Node sensor/actuator interface). A node
-// addresses its supplies by index: SupplyIDs, read once here, names them;
-// ReadSensors fills a caller-owned Reading with one SupplyAC entry per
-// supply in that order, reusing its slice; SupplyActive(i) reports
-// whether supply i carries load.
-func NewController(node capping.Node, cfg ControllerConfig) (*Controller, error) {
-	return capping.New(node, cfg)
-}
 
 // Simulation.
 type (
@@ -291,11 +235,6 @@ type (
 // default alert rules.
 func NewSLOTracker(cfg SLOConfig) (*SLOTracker, error) { return slo.New(cfg) }
 
-// DefaultSLORules returns the built-in alert rules: breaker trip risk,
-// time-to-safe margin below the paper's bound, open overloaded exposure,
-// racks held on stale state, and persistent cap violations.
-func DefaultSLORules() []SLORule { return slo.DefaultRules() }
-
 // LoadSLORules parses an alert-rule JSON file (an array of SLORule).
 func LoadSLORules(path string) ([]SLORule, error) { return slo.LoadRulesFile(path) }
 
@@ -334,8 +273,6 @@ type (
 	Scheduler = scheduler.Scheduler
 	// Job is a placement request (cores + priority).
 	Job = scheduler.Job
-	// JobID identifies a job.
-	JobID = scheduler.JobID
 	// SchedServer describes a schedulable server (ID + cores).
 	SchedServer = scheduler.ServerInfo
 )
@@ -347,26 +284,8 @@ func NewScheduler(servers []SchedServer, onChange scheduler.PriorityChange) (*Sc
 	return scheduler.New(servers, onChange)
 }
 
-// Topology validation (the Section 7 extension).
-type (
-	// TopologyReport summarizes a wiring verification run.
-	TopologyReport = topocheck.Report
-	// TopologyPlant is the live system a verification perturbs.
-	TopologyPlant = topocheck.Plant
-)
-
-// VerifyTopology checks a declared topology against the live system by
-// perturbing one server at a time and watching which branch meters
-// respond. Wrap a *Simulator with NewSimPlant to verify simulations.
-func VerifyTopology(declared *Topology, plant TopologyPlant) (*TopologyReport, error) {
-	return topocheck.Verify(declared, plant, topocheck.Options{})
-}
-
-// NewSimPlant adapts a running simulation to the TopologyPlant interface.
-func NewSimPlant(s *Simulator) TopologyPlant { return &topocheck.SimPlant{Sim: s} }
-
 // Distributed control plane (Section 5): rack and room workers exchanging
-// summaries and budgets over pluggable wire codecs.
+// summaries and budgets over TCP.
 type (
 	// RackWorker protects one rack's subtree and answers gather/budget
 	// RPCs from the room worker.
@@ -374,8 +293,8 @@ type (
 	// RoomWorker protects the upper hierarchy; each rack appears in its
 	// tree as a proxy node backed by a RackClient transport.
 	RoomWorker = controlplane.RoomWorker
-	// RackClient is the transport between the room worker and one rack:
-	// in-process (NewLocalClient) or TCP (DialRack).
+	// RackClient is the transport between the room worker and one rack,
+	// such as the TCP client DialRack returns.
 	RackClient = controlplane.RackClient
 	// RackServer serves a rack worker over TCP.
 	RackServer = controlplane.RackServer
@@ -386,26 +305,7 @@ type (
 	BudgetSink = controlplane.BudgetSink
 	// ControlPlaneOption configures workers and transports.
 	ControlPlaneOption = controlplane.Option
-	// PeriodStats summarizes one room control period.
-	PeriodStats = controlplane.PeriodStats
-	// Aggregator is the control plane's one tier type: a RackClient toward
-	// its parent that gathers, holds and pushes for its children. A room
-	// worker is one Aggregator at the root.
-	Aggregator = controlplane.Aggregator
-	// Hierarchy is a sharded room → aggregator → rack control plane built
-	// by BuildHierarchy.
-	Hierarchy = controlplane.Hierarchy
-	// HierarchyConfig declares a hierarchy's shape: levels, fan-out,
-	// policy, budget.
-	HierarchyConfig = controlplane.HierarchyConfig
-	// RackHandle is a RackClient view of one rack on a multi-rack server;
-	// handles sharing a client are gathered and pushed in batch frames.
-	RackHandle = controlplane.RackHandle
 )
-
-// DefaultFanOut is the hierarchy fan-out BuildHierarchy uses when the
-// config leaves it zero.
-const DefaultFanOut = controlplane.DefaultFanOut
 
 // NewRackWorker creates a rack worker over the rack's local control tree.
 func NewRackWorker(id string, tree *Node, policy Policy, sink BudgetSink, opts ...ControlPlaneOption) (*RackWorker, error) {
@@ -421,10 +321,6 @@ func NewRoomWorker(tree *Node, budget Watts, policy Policy, racks map[string]Rac
 // NewProxyNode creates an upper-tree stand-in for a remote rack; its
 // summary is refreshed from the rack's worker every gather.
 func NewProxyNode(id string) *Node { return core.NewProxy(id, core.NewSummary()) }
-
-// NewLocalClient wraps a rack worker as an in-process transport for
-// single-binary deployments.
-func NewLocalClient(w *RackWorker) RackClient { return controlplane.LocalClient{Worker: w} }
 
 // ServeRack serves a rack worker's gather/budget RPCs on addr.
 func ServeRack(worker *RackWorker, addr string, opts ...ControlPlaneOption) (*RackServer, error) {
@@ -443,53 +339,9 @@ func DialRack(addr string, timeout time.Duration, opts ...ControlPlaneOption) *R
 // negative disables delta responses.
 func WithDeltaDeadband(d Watts) ControlPlaneOption { return controlplane.WithDeltaDeadband(d) }
 
-// WithRPCRetry sets the TCP client's retry budget per request.
-func WithRPCRetry(retries int, backoff time.Duration) ControlPlaneOption {
-	return controlplane.WithRPCRetry(retries, backoff)
-}
-
 // WithControlPlaneTelemetry registers worker and transport metrics
 // (including per-codec encode/decode histograms and delta-hit counters)
 // with the registry.
 func WithControlPlaneTelemetry(reg *TelemetryRegistry) ControlPlaneOption {
 	return controlplane.WithTelemetry(reg)
-}
-
-// WithControlPlaneRecorder records per-period traces, spans, and
-// allocation explains into the flight recorder.
-func WithControlPlaneRecorder(rec *FlightRecorder) ControlPlaneOption {
-	return controlplane.WithFlightRecorder(rec)
-}
-
-// NewAggregator creates a mid-level hierarchy worker over the given
-// subtree, whose proxy nodes stand for the downstream workers in clients.
-func NewAggregator(tree *Node, policy Policy, clients map[string]RackClient, opts ...ControlPlaneOption) (*Aggregator, error) {
-	return controlplane.NewAggregator(tree, policy, clients, opts...)
-}
-
-// BuildHierarchy shards a flat rack set into an N-level room → aggregator
-// → rack control hierarchy (cfg.Levels counts every tier, racks and room
-// included).
-func BuildHierarchy(racks map[string]RackClient, cfg HierarchyConfig) (*Hierarchy, error) {
-	return controlplane.BuildHierarchy(racks, cfg)
-}
-
-// ServeRacks serves many rack workers from one TCP listener; clients
-// reach each via RackTCPClient.Rack(id), and rack handles sharing a
-// client are batched into single multiplexed frames per control period.
-func ServeRacks(workers map[string]RackClient, addr string, opts ...ControlPlaneOption) (*RackServer, error) {
-	return controlplane.ServeRacks(workers, addr, opts...)
-}
-
-// WithRPCConcurrency bounds a worker's in-flight rack RPCs per wave
-// (default max(32, 16×GOMAXPROCS)).
-func WithRPCConcurrency(n int) ControlPlaneOption {
-	return controlplane.WithRPCConcurrency(n)
-}
-
-// WithHierarchyLevel labels an aggregator's telemetry with its hierarchy
-// level (1 = directly above the racks); BuildHierarchy sets it
-// automatically.
-func WithHierarchyLevel(level int) ControlPlaneOption {
-	return controlplane.WithHierarchyLevel(level)
 }

@@ -1,14 +1,14 @@
-// Command capmaestro runs the CapMaestro control plane against a simulated
-// test bed, demonstrating the three headline mechanisms end to end.
+// Command capmaestro runs the CapMaestro control plane — rack workers
+// behind real TCP sockets under a room worker — against simulated servers.
 //
 // Usage:
 //
-//	capmaestro -demo capping      # per-supply budget enforcement (Fig. 5)
-//	capmaestro -demo feedfail     # feed failure: cap within the breaker window
-//	capmaestro -demo spo          # stranded power optimization (Fig. 7)
-//	capmaestro -demo distributed  # rack/room workers over real TCP sockets
-//	capmaestro -demo scheduler    # job scheduler driving server priorities
+//	capmaestro -demo distributed  # three control periods, budgets printed
 //	capmaestro -demo serve        # full stack running until interrupted
+//
+// The paper's figures and tables (Fig. 5, Table 3, ...) are regenerated by
+// cmd/experiments, and scripted situations such as an N+N feed failure by
+// cmd/scenariorun.
 //
 // With -telemetry-addr HOST:PORT the process serves Prometheus metrics on
 // /metrics, liveness on /healthz, a JSON snapshot on /debug/vars, and — in
@@ -32,21 +32,17 @@ import (
 	"capmaestro/internal/capping"
 	"capmaestro/internal/controlplane"
 	"capmaestro/internal/core"
-	"capmaestro/internal/experiments"
 	"capmaestro/internal/fleetobs"
 	"capmaestro/internal/flightrec"
 	"capmaestro/internal/logging"
 	"capmaestro/internal/power"
-	"capmaestro/internal/scheduler"
 	"capmaestro/internal/server"
-	"capmaestro/internal/sim"
 	"capmaestro/internal/slo"
 	"capmaestro/internal/telemetry"
-	"capmaestro/internal/topology"
 )
 
 func main() {
-	demo := flag.String("demo", "feedfail", "capping | feedfail | spo | distributed | scheduler | serve")
+	demo := flag.String("demo", "distributed", "distributed | serve")
 	telAddr := flag.String("telemetry-addr", "",
 		"HOST:PORT for the /metrics, /healthz, and /debug/vars endpoints (empty disables; serve demo defaults to :9090)")
 	stalePeriods := flag.Int("staleness-periods", controlplane.DefaultStalenessBound,
@@ -96,16 +92,8 @@ func main() {
 		fmt.Printf("telemetry on http://%s/metrics\n", ts.Addr())
 	}
 	switch *demo {
-	case "capping":
-		err = demoCapping()
-	case "feedfail":
-		err = demoFeedFailure()
-	case "spo":
-		err = demoSPO()
 	case "distributed":
 		err = demoDistributed(reg)
-	case "scheduler":
-		err = demoScheduler()
 	case "serve":
 		err = demoServe(reg, ts, logger, serveConfig{
 			stalenessPeriods: *stalePeriods,
@@ -124,146 +112,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// demoCapping drives a single dual-corded server through the Figure 5
-// scenario using the per-supply PI controller directly.
-func demoCapping() error {
-	res, err := experiments.Figure5(experiments.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Println("Per-supply power cap enforcement (paper Figure 5):")
-	fmt.Println(res.Text)
-	return nil
-}
-
-// demoFeedFailure builds a small N+N test bed, fails the Y feed mid-run,
-// and reports how capping protects the surviving feed's breaker.
-func demoFeedFailure() error {
-	mkFeed := func(feed topology.FeedID) *topology.Node {
-		root := topology.NewNode(string(feed), topology.KindUtility, 0)
-		root.Feed = feed
-		cdu := root.AddChild(topology.NewNode(string(feed)+"-cdu", topology.KindCDU, 800))
-		cdu.AddChild(topology.NewSupply("s1-"+string(feed), "s1", 0.5))
-		cdu.AddChild(topology.NewSupply("s2-"+string(feed), "s2", 0.5))
-		return root
-	}
-	topo, err := topology.New(mkFeed("X"), mkFeed("Y"))
-	if err != nil {
-		return err
-	}
-	derating := topology.FullRating()
-	s, err := sim.New(sim.Config{
-		Topology: topo,
-		Servers: map[string]sim.ServerSpec{
-			"s1": {Utilization: 1, Priority: 1},
-			"s2": {Utilization: 1},
-		},
-		Policy:      core.GlobalPriority,
-		RootBudgets: map[topology.FeedID]power.Watts{"X": 800, "Y": 800},
-		Derating:    &derating,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("N+N feed failure demo: two 490 W servers, 800 W-rated CDUs per feed.")
-	fmt.Println("Feed Y fails at t=30s; the UL 489 window at the resulting overload is ~93s.")
-	fmt.Println()
-	s.Schedule(30*time.Second, "fail feed Y", func(s *sim.Simulator) {
-		s.FailFeed("Y")
-		fmt.Printf("t=%3.0fs  !! feed Y FAILED — full load shifts to feed X\n", s.Now().Seconds())
-	})
-	for t := 0; t < 12; t++ {
-		s.Run(10 * time.Second)
-		fmt.Printf("t=%3.0fs  X-CDU load %6.1f W  s1 %5.1f W (throttle %4.1f%%)  s2 %5.1f W  tripped=%v\n",
-			s.Now().Seconds(), float64(s.NodeLoad("X-cdu")),
-			float64(s.Server("s1").ACPower()), s.Server("s1").ThrottleLevel()*100,
-			float64(s.Server("s2").ACPower()), s.TrippedBreakers())
-	}
-	if len(s.TrippedBreakers()) == 0 {
-		fmt.Println("\nNo breaker tripped: capping shed the load inside the trip window.")
-	} else {
-		fmt.Println("\nBREAKERS TRIPPED — capping failed to protect the feed.")
-	}
-	return nil
-}
-
-// demoSPO runs the Table 3 / Figure 7 stranded power scenario.
-func demoSPO() error {
-	res, err := experiments.Table3(experiments.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Println("Stranded power optimization (paper Table 3 / Figure 7b):")
-	fmt.Println(res.Text)
-	return nil
-}
-
-// demoScheduler shows the Section 7 coordination: a job scheduler places
-// work, pushes server priority changes into the power manager, and the
-// next control periods shift power toward the newly critical server.
-func demoScheduler() error {
-	root := topology.NewNode("X", topology.KindUtility, 0)
-	root.Feed = "X"
-	cdu := root.AddChild(topology.NewNode("cdu", topology.KindCDU, 900))
-	cdu.AddChild(topology.NewSupply("node-a-ps", "node-a", 1))
-	cdu.AddChild(topology.NewSupply("node-b-ps", "node-b", 1))
-	topo, err := topology.New(root)
-	if err != nil {
-		return err
-	}
-	derating := topology.FullRating()
-	s, err := sim.New(sim.Config{
-		Topology: topo,
-		Servers: map[string]sim.ServerSpec{
-			"node-a": {Utilization: 1},
-			"node-b": {Utilization: 1},
-		},
-		Policy:      core.GlobalPriority,
-		RootBudgets: map[topology.FeedID]power.Watts{"X": 760},
-		Derating:    &derating,
-	})
-	if err != nil {
-		return err
-	}
-	sched, err := scheduler.New(
-		[]scheduler.ServerInfo{{ID: "node-a", Cores: 28}, {ID: "node-b", Cores: 28}},
-		func(serverID string, old, new core.Priority) {
-			fmt.Printf("         scheduler -> power manager: %s priority %d -> %d\n",
-				serverID, old, new)
-			if err := s.SetPriority(serverID, new); err != nil {
-				panic(err)
-			}
-		})
-	if err != nil {
-		return err
-	}
-
-	report := func(label string) {
-		fmt.Printf("%-26s node-a %5.1f W   node-b %5.1f W\n", label,
-			float64(s.Server("node-a").ACPower()), float64(s.Server("node-b").ACPower()))
-	}
-	fmt.Println("Two 490 W servers share a 760 W budget (both low priority).")
-	s.Run(time.Minute)
-	report("steady state:")
-
-	fmt.Println("\nA critical 8-core job arrives...")
-	placed, err := sched.Submit(scheduler.Job{ID: "critical-db", Cores: 8, Priority: 1})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("         placed on %s\n", placed)
-	s.Run(time.Minute)
-	report("after priority shift:")
-
-	fmt.Println("\nThe job completes...")
-	if err := sched.Remove("critical-db"); err != nil {
-		return err
-	}
-	s.Run(time.Minute)
-	report("back to even split:")
-	return nil
 }
 
 // demoDistributed wires two rack workers to a room worker over loopback

@@ -1,9 +1,13 @@
-// Command scenariorun executes declarative scenario files: a fleet, a
-// timed event schedule, and assertions the run must satisfy.
+// Command scenariorun executes declarative scenario files — a fleet, a
+// timed event schedule, and assertions the run must satisfy — and fuzzes
+// the allocator with seeded generated scenarios.
 //
 //	scenariorun run scenarios/feed-failure-peak.yaml [more files...]
 //	scenariorun validate scenarios/*.yaml
-//	scenariorun interactive scenarios/quiet-night.yaml -listen :8080
+//	scenariorun interactive -listen :8080 scenarios/quiet-night.yaml
+//	scenariorun sweep -count 1000 -seed 1 -out failures/
+//	scenariorun replay failures/gen-178.json
+//	scenariorun emit -seed 42 corpus/gen-42.json
 //
 // run executes each scenario and evaluates its assertions, exiting
 // non-zero if any fails; with CAPMAESTRO_ARTIFACT_DIR set, a failing
@@ -13,6 +17,13 @@
 // scenario's fleet in real time, serving the full observability plane
 // (/metrics, /debug/periods, /debug/slo, /debug/fleet) plus an operator
 // command surface (POST /op and stdin) against the live simulation.
+//
+// sweep generates and verifies seeded scenarios (scenario i uses seed+i),
+// minimizes each failure to its smallest still-failing form, and writes
+// it as replayable JSON under -out. replay verifies one such file; emit
+// writes the generated scenario for a seed without verifying it. A file
+// written by one invocation replays bit-identically in another (or in
+// TestCorpusReplay once committed to testdata/corpus).
 package main
 
 import (
@@ -44,6 +55,12 @@ func main() {
 		os.Exit(validateCmd(args))
 	case "interactive":
 		os.Exit(interactiveCmd(args))
+	case "sweep":
+		os.Exit(sweepCmd(args))
+	case "replay":
+		os.Exit(replayCmd(args))
+	case "emit":
+		os.Exit(emitCmd(args))
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -60,6 +77,10 @@ func usage() {
   scenariorun validate <file.yaml|file.json> [...]  check files without running
   scenariorun interactive [-listen addr] [-rate n] <file>
                                                     operator console on a live fleet
+  scenariorun sweep [-count n] [-seed n] [-out dir]  verify generated scenarios,
+                                                    write minimized failures
+  scenariorun replay <file.json>                    verify one generated scenario
+  scenariorun emit [-seed n] <file.json>            write the scenario for a seed
 `)
 }
 
@@ -217,4 +238,95 @@ func interactiveCmd(args []string) int {
 		return 2
 	}
 	return 0
+}
+
+func sweepCmd(args []string) int {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	count := fs.Int("count", 100, "scenarios to generate and verify")
+	seed := fs.Int64("seed", 1, "base seed; scenario i uses seed+i")
+	outDir := fs.String("out", "failures", "directory for minimized failing scenario JSONs")
+	_ = fs.Parse(args)
+	failures := 0
+	for i := 0; i < *count; i++ {
+		s := *seed + int64(i)
+		sc := scenario.Generate(s)
+		err := scenario.Verify(sc)
+		if err == nil {
+			continue
+		}
+		failures++
+		fmt.Fprintf(os.Stderr, "FAIL seed %d: %v\n", s, err)
+		sc = scenario.Minimize(sc, func(c *scenario.Scenario) bool {
+			return scenario.Verify(c) != nil
+		})
+		if merr := scenario.Verify(sc); merr != nil {
+			fmt.Fprintf(os.Stderr, "  minimized to %d servers, %d events, %ds: %v\n",
+				len(sc.Servers), len(sc.Events), sc.DurationSec, merr)
+		}
+		if werr := writeScenario(filepath.Join(*outDir, sc.Name+".json"), sc); werr != nil {
+			fmt.Fprintln(os.Stderr, " ", werr)
+		}
+	}
+	fmt.Printf("%d/%d scenarios passed\n", *count-failures, *count)
+	if failures > 0 {
+		return 1
+	}
+	return 0
+}
+
+func replayCmd(args []string) int {
+	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+	_ = fs.Parse(args)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "scenariorun replay: exactly one scenario JSON file")
+		return 2
+	}
+	data, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	sc, err := scenario.Load(data)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	if err := scenario.Verify(sc); err != nil {
+		fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", sc.Name, err)
+		return 1
+	}
+	fmt.Printf("ok %s (seed %d, %d servers, %d events, %ds)\n",
+		sc.Name, sc.Seed, len(sc.Servers), len(sc.Events), sc.DurationSec)
+	return 0
+}
+
+func emitCmd(args []string) int {
+	fs := flag.NewFlagSet("emit", flag.ExitOnError)
+	seed := fs.Int64("seed", 1, "generator seed")
+	_ = fs.Parse(args)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "scenariorun emit: exactly one output file")
+		return 2
+	}
+	if err := writeScenario(fs.Arg(0), scenario.Generate(*seed)); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	return 0
+}
+
+// writeScenario writes sc as stable JSON to path, creating its directory.
+func writeScenario(path string, sc *scenario.Scenario) error {
+	data, err := sc.MarshalStable()
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s (seed %d)\n", path, sc.Seed)
+	return nil
 }

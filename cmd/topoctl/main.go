@@ -14,13 +14,14 @@
 // inconsistencies. The failover drill runs the full simulated stack
 // (demand estimation, priority-aware allocation, PI capping, breaker
 // thermal models) against the declared wiring with every server at peak
-// power, failing each feed in turn, and reports whether capping protects
-// every breaker.
+// power, failing each feed in turn, and reports whether every server keeps
+// a live supply and capping protects every breaker.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -81,7 +82,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if !failoverDrill(topo) {
+		if !failoverDrill(os.Stdout, topo) {
 			os.Exit(1)
 		}
 	case *validate != "":
@@ -117,14 +118,15 @@ func load(path string) (*topology.Topology, error) {
 
 // failoverDrill simulates the worst case on the declared topology: every
 // server at peak demand, each feed failed in turn, CapMaestro's Global
-// Priority capping active against the derated limits. Reports per-feed
-// verdicts; returns false if any drill tripped a breaker.
-func failoverDrill(topo *topology.Topology) bool {
+// Priority capping active against the derated limits. Writes per-feed
+// verdicts to w; returns false if any failure left a server without a
+// live supply or tripped a breaker.
+func failoverDrill(w io.Writer, topo *topology.Topology) bool {
 	specs := make(map[string]sim.ServerSpec)
 	for _, id := range topo.ServerIDs() {
 		specs[id] = sim.ServerSpec{Utilization: 1.0}
 	}
-	fmt.Printf("failover drill: %d servers at peak demand, Global Priority capping, 80%% derating\n\n",
+	fmt.Fprintf(w, "failover drill: %d servers at peak demand, Global Priority capping, 80%% derating\n\n",
 		len(specs))
 	ok := true
 	for _, failed := range topo.Feeds() {
@@ -161,7 +163,10 @@ func failoverDrill(topo *topology.Topology) bool {
 			})
 		}
 		verdict := "SAFE"
-		switch {
+		switch dark := unpowered(topo, failed); {
+		case len(dark) > 0:
+			verdict = "UNPOWERED " + strings.Join(dark, ",")
+			ok = false
 		case len(tripped) > 0:
 			verdict = "TRIPPED " + strings.Join(tripped, ",")
 			ok = false
@@ -175,16 +180,37 @@ func failoverDrill(topo *topology.Topology) bool {
 			verdict = "OVER SUSTAINED LIMIT"
 			ok = false
 		}
-		fmt.Printf("feed %-4s fails: %-28s hottest surviving branch %s at %.0f W (%.0f%% of sustained limit)\n",
-			failed, verdict, worstID, worstLoad, worstFrac*100)
+		hottest := "no rated branch survives"
+		if worstID != "" {
+			hottest = fmt.Sprintf("hottest surviving branch %s at %.0f W (%.0f%% of sustained limit)",
+				worstID, worstLoad, worstFrac*100)
+		}
+		fmt.Fprintf(w, "feed %-4s fails: %-28s %s\n", failed, verdict, hottest)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if ok {
-		fmt.Println("verdict: capping holds every breaker through any single-feed failure.")
+		fmt.Fprintln(w, "verdict: capping holds every breaker through any single-feed failure.")
 	} else {
-		fmt.Println("verdict: NOT SAFE — reduce server count or raise ratings before deploying.")
+		fmt.Fprintln(w, "verdict: NOT SAFE — reduce server count or raise ratings before deploying.")
 	}
 	return ok
+}
+
+// unpowered lists, in ID order, the servers whose every supply hangs off
+// the failed feed: no capping can keep them running through that failure.
+func unpowered(topo *topology.Topology, failed topology.FeedID) []string {
+	var dark []string
+	bySrv := topo.SuppliesByServer()
+	for _, id := range topo.ServerIDs() {
+		live := false
+		for _, s := range bySrv[id] {
+			live = live || s.Feed != failed
+		}
+		if !live {
+			dark = append(dark, id)
+		}
+	}
+	return dark
 }
 
 func printTopology(topo *topology.Topology) {

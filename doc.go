@@ -10,10 +10,10 @@
 // power feeds — safely host far more servers on the same power
 // infrastructure. It contributes three mechanisms, all implemented here:
 //
-//   - A closed-loop per-supply capping controller (Controller): a PI
-//     feedback loop that enforces an individual AC budget on each power
-//     supply of a server, using a node manager that can only cap total DC
-//     power.
+//   - A closed-loop per-supply capping controller (internal/capping, run
+//     by every NewSimulator server): a PI feedback loop that enforces an
+//     individual AC budget on each power supply of a server, using a node
+//     manager that can only cap total DC power.
 //
 //   - Global priority-aware power capping (Allocate with GlobalPriority):
 //     a two-phase, distributed algorithm over a control tree that mirrors
@@ -40,6 +40,10 @@
 //	internal/dc           the Table 4 data center and capacity studies
 //	internal/experiments  regenerators for every table and figure
 //
-// See the examples directory for runnable walkthroughs, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for paper-vs-measured results.
+// The facade exports what the examples directory and this package's
+// examples and benchmarks use. The binaries under cmd/ (capmaestro,
+// experiments, scenariorun, topoctl, scalesim) import the internal
+// packages directly. See the examples directory for runnable
+// walkthroughs, DESIGN.md for the system inventory, and EXPERIMENTS.md
+// for paper-vs-measured results.
 package capmaestro

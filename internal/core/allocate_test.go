@@ -629,3 +629,17 @@ func TestProxyNodeAllocation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]Policy{
+		"none": NoPriority, "local": LocalPriority, "global": GlobalPriority,
+		"dynamo": LocalPriority, "capmaestro": GlobalPriority,
+	} {
+		if p, err := ParsePolicy(name); err != nil || p != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, p, err, want)
+		}
+	}
+	if _, err := ParsePolicy("bogus"); err == nil {
+		t.Error("bogus policy should fail")
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"capmaestro/internal/core"
@@ -194,4 +195,34 @@ func SensitivityContractualBudget(o Options) (*Result, error) {
 	b.WriteString("\n(worst-case capacity scales with the contractual budget for every policy;\n")
 	b.WriteString(" the policy ordering is preserved at every budget)\n")
 	return &Result{ID: "sens-budget", Title: "Sensitivity: contractual budget", Text: b.String()}, nil
+}
+
+// The binding diagnostic's configuration: the paper's Global Priority
+// worst-case capacity, 36 servers per rack.
+const (
+	bindingPerRack = 36
+	bindingPolicy  = core.GlobalPriority
+	bindingCase    = dc.WorstCase
+)
+
+// Binding reports which hierarchy level saturates at the paper's Global
+// Priority capacity (36/rack, worst case): how many nodes per level are
+// allocated right up to their limit in one seeded run.
+func Binding(o Options) (*Result, error) {
+	cfg := dc.DefaultConfig()
+	cfg.ServersPerRack = bindingPerRack
+	built, err := dc.Build(cfg, bindingCase)
+	if err != nil {
+		return nil, err
+	}
+	r, err := built.AnalyzeBinding(rand.New(rand.NewSource(studyOptions(o).Seed)), bindingPolicy, 1.0)
+	if err != nil {
+		return nil, err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s — saturated nodes per level at %d/rack (%s):\n", bindingPolicy, bindingPerRack, bindingCase)
+	for _, level := range r.Levels() {
+		fmt.Fprintf(&b, "  %-12s %4d of %4d\n", level, r.Binding[level], r.Total[level])
+	}
+	return &Result{ID: "binding", Title: "Binding constraints", Text: b.String()}, nil
 }

@@ -85,6 +85,7 @@ func Registry() []Experiment {
 		{"sens-priority", "Sensitivity: fraction of high-priority servers", func(o Options) (*Result, error) { return SensitivityHighPriorityFraction(o) }},
 		{"sens-capmin", "Sensitivity: server Pcap_min", func(o Options) (*Result, error) { return SensitivityCapMin(o) }},
 		{"sens-budget", "Sensitivity: contractual budget", func(o Options) (*Result, error) { return SensitivityContractualBudget(o) }},
+		{"binding", "Binding constraints: which level saturates at Global Priority's capacity", func(o Options) (*Result, error) { return Binding(o) }},
 	}
 }
 

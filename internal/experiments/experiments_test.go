@@ -9,8 +9,8 @@ var fast = Options{Fast: true, TypicalRuns: 30, WorstCaseRuns: 4}
 
 func TestRegistryAndFind(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 12 {
-		t.Fatalf("registry size = %d, want 12", len(reg))
+	if len(reg) != 13 {
+		t.Fatalf("registry size = %d, want 13", len(reg))
 	}
 	ids := IDs()
 	if len(ids) != len(reg) {
@@ -212,5 +212,25 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "------") {
 		t.Errorf("missing separator: %q", lines[1])
+	}
+}
+
+// TestBindingAtPaperCapacity pins the binding diagnostic at its default
+// seed: at 36/rack under Global Priority every contractual budget binds
+// while most transformers and every RPP and CDU keep headroom.
+func TestBindingAtPaperCapacity(t *testing.T) {
+	r, err := Binding(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"contractual     3 of    3",
+		"transformer     1 of    6",
+		"rpp             0 of   54",
+		"cdu             0 of  486",
+	} {
+		if !strings.Contains(r.Text, want) {
+			t.Errorf("binding output missing %q:\n%s", want, r.Text)
+		}
 	}
 }
